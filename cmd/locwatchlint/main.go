@@ -15,7 +15,6 @@
 //	-format f     output format: text (default), json, or sarif
 //	              (SARIF 2.1.0 with witness paths as relatedLocations
 //	              and suppressed findings as suppressions)
-//	-json         shorthand for -format json (kept for compatibility)
 //	-disable a,b  skip the named analyzers
 //	-baseline f   read an accepted-findings baseline: matched findings
 //	              are demoted to suppressed; entries nothing matched
@@ -24,11 +23,10 @@
 //	              stale entries after the run
 //	-write-baseline f  instead of failing, record the current active
 //	              findings as the new baseline and exit 0
-//	-cache-dir d  cache per-package findings under d, keyed by content
-//	              fingerprints: warm runs reload only what changed, and
-//	              a fully warm run skips loading entirely
-//	-no-cache     ignore -cache-dir and recompute everything
-//	-cache-stats f  write the run's cache hit/miss counters as JSON to f
+//	-cache-dir d  cache the run's findings under d, keyed by the
+//	              toolchain, the analyzer roster and the source bytes of
+//	              every listed package: an unchanged tree replays them
+//	              without loading anything
 //	-list         print the analyzer suite and exit
 //	-graph s      instead of linting, dump the call-graph slice reachable
 //	              from functions whose qualified name contains s — the
@@ -55,22 +53,16 @@ func main() {
 	log.SetPrefix("locwatchlint: ")
 
 	format := flag.String("format", "text", "output format: text, json, or sarif")
-	jsonOut := flag.Bool("json", false, "shorthand for -format json")
 	disable := flag.String("disable", "", "comma-separated analyzer names to skip")
 	baselinePath := flag.String("baseline", "", "accepted-findings baseline file to read")
 	pruneBaseline := flag.Bool("prune-baseline", false, "with -baseline, rewrite the file without stale entries")
 	writeBaseline := flag.String("write-baseline", "", "record current findings to this baseline file and exit 0")
-	cacheDir := flag.String("cache-dir", "", "cache per-package findings under this directory")
-	noCache := flag.Bool("no-cache", false, "ignore -cache-dir and recompute everything")
-	cacheStats := flag.String("cache-stats", "", "write cache hit/miss counters as JSON to this file")
+	cacheDir := flag.String("cache-dir", "", "cache the run's findings under this directory")
 	list := flag.Bool("list", false, "print the analyzer suite and exit")
 	graphRoot := flag.String("graph", "", "dump the call graph reachable from functions whose qualified name contains this substring, then exit")
 	graphFormat := flag.String("graph-format", "dot", "call-graph dump format: dot or json")
 	flag.Parse()
 
-	if *jsonOut {
-		*format = "json"
-	}
 	if *format != "text" && *format != "json" && *format != "sarif" {
 		log.Printf("unknown -format %q (want text, json, or sarif)", *format)
 		os.Exit(2)
@@ -98,13 +90,12 @@ func main() {
 	if *graphRoot != "" {
 		// The debugging path loads eagerly — a graph dump wants the
 		// whole program regardless of what the cache knows.
-		metas, resolve, roots, err := loader.GoListDeps(root, flag.Args()...)
+		mod, err := loader.GoListDeps(root, flag.Args()...)
 		if err != nil {
 			log.Print(err)
 			os.Exit(2)
 		}
-		ld := loader.New(resolve)
-		pkgs, err := ld.LoadAll(metas, roots, 0)
+		ld, pkgs, err := mod.Load()
 		if err != nil {
 			log.Print(err)
 			os.Exit(2)
@@ -117,29 +108,15 @@ func main() {
 		return
 	}
 
-	dir := *cacheDir
-	if *noCache {
-		dir = ""
-	}
-	findings, stats, err := lint.Check(lint.CheckOptions{
+	findings, _, err := lint.Check(lint.CheckOptions{
 		Dir:       root,
 		Patterns:  flag.Args(),
 		Analyzers: analyzers,
-		CacheDir:  dir,
+		CacheDir:  *cacheDir,
 	})
 	if err != nil {
 		log.Print(err)
 		os.Exit(2)
-	}
-	if *cacheStats != "" {
-		data, err := json.MarshalIndent(stats, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*cacheStats, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			log.Print(err)
-			os.Exit(2)
-		}
 	}
 
 	if *baselinePath != "" {

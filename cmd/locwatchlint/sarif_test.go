@@ -148,7 +148,7 @@ func TestSARIFSuppressions(t *testing.T) {
 			Justification: "write happens before close(done)",
 		},
 		{
-			Analyzer: "detclock", File: "/mod/b.go", Line: 2, Column: 1,
+			Analyzer: "detreach", File: "/mod/b.go", Line: 2, Column: 1,
 			Message:    "time.Now in simulation path",
 			Suppressed: lint.SuppressedBaseline,
 		},

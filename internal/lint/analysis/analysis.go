@@ -98,23 +98,12 @@ func WithStack(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
 	})
 }
 
-// Unparen strips any enclosing parentheses from e.
-func Unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
-}
-
 // CalleeFunc returns the *types.Func a call statically resolves to
 // (a named function or method), or nil for calls through function
 // values, built-ins and type conversions.
 func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	var obj types.Object
-	switch fun := Unparen(call.Fun).(type) {
+	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		obj = info.Uses[fun]
 	case *ast.SelectorExpr:

@@ -25,10 +25,6 @@ func TestDurationSeconds(t *testing.T) {
 	analysistest.Run(t, fixtures, lint.DurationSeconds, "durationseconds")
 }
 
-func TestDetClock(t *testing.T) {
-	analysistest.Run(t, fixtures, lint.DetClock, "detclock/mobility", "detclock/app")
-}
-
 // TestLatLonBoundsSkipsGeo pins the defining-package exemption: the
 // fixture geo stub builds LatLon values freely and must stay silent.
 func TestLatLonBoundsSkipsGeo(t *testing.T) {
@@ -63,13 +59,14 @@ func TestErrFlow(t *testing.T) {
 
 // TestDetReach covers whole-program clock reachability: findings land
 // on the direct time.Now/rand call sites in every package reachable
-// from the stub roots (mobility trace emission, experiments figure
-// paths), cross-package and through interface dispatch, while
-// unreachable clock reads and the observe-only obs stub stay silent.
+// from the stub roots (every function of the mobility and experiments
+// stubs, called or not), cross-package and through interface dispatch,
+// while the observe-only obs stub and an unreachable clock read
+// outside the simulation packages stay silent.
 func TestDetReach(t *testing.T) {
 	analysistest.Run(t, fixtures, lint.DetReach,
 		"detreach/mobility", "detreach/util", "detreach/experiments",
-		"detreach/geo", "detreach/obs")
+		"detreach/geo", "detreach/obs", "detreach/app")
 }
 
 // TestPrivTaint covers the location-taint tier: direct sinks,

@@ -125,7 +125,7 @@ func nameAngleUnit(name string) angleUnit {
 // name, a geo.LatLon Lat/Lon field (degrees), or a top-level product
 // with degToRad (radians) / radToDeg (degrees).
 func argAngleUnit(info *types.Info, e ast.Expr) angleUnit {
-	e = analysis.Unparen(e)
+	e = ast.Unparen(e)
 	switch e := e.(type) {
 	case *ast.Ident:
 		return nameAngleUnit(e.Name)
@@ -140,7 +140,7 @@ func argAngleUnit(info *types.Info, e ast.Expr) angleUnit {
 			return unitNone
 		}
 		for _, op := range []ast.Expr{e.X, e.Y} {
-			if id, ok := analysis.Unparen(op).(*ast.Ident); ok {
+			if id, ok := ast.Unparen(op).(*ast.Ident); ok {
 				switch id.Name {
 				case "degToRad":
 					return unitRad
@@ -155,11 +155,11 @@ func argAngleUnit(info *types.Info, e ast.Expr) angleUnit {
 
 // exprString renders a short description of e for diagnostics.
 func exprString(e ast.Expr) string {
-	switch e := analysis.Unparen(e).(type) {
+	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		return "\"" + e.Name + "\""
 	case *ast.SelectorExpr:
-		if x, ok := analysis.Unparen(e.X).(*ast.Ident); ok {
+		if x, ok := ast.Unparen(e.X).(*ast.Ident); ok {
 			return "\"" + x.Name + "." + e.Sel.Name + "\""
 		}
 		return "\"" + e.Sel.Name + "\""

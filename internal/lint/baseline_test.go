@@ -10,7 +10,7 @@ func TestBaselineRoundTrip(t *testing.T) {
 	findings := []Finding{
 		{Analyzer: "locksafe", File: "/mod/internal/a/a.go", Line: 10, Column: 2,
 			Message: "field A.x is written without A.mu held"},
-		{Analyzer: "detclock", File: "/mod/internal/b/b.go", Line: 5, Column: 1,
+		{Analyzer: "detreach", File: "/mod/internal/b/b.go", Line: 5, Column: 1,
 			Message: "time.Now in simulation path"},
 		{Analyzer: "latlonbounds", File: "/mod/internal/a/a.go", Line: 3, Column: 9,
 			Message: "latitude out of range", Suppressed: SuppressedInSource},
@@ -82,7 +82,7 @@ func TestBaselineFingerprintSensitivity(t *testing.T) {
 func TestBaselineStaleAndPrune(t *testing.T) {
 	still := Finding{Analyzer: "locksafe", File: "/mod/a.go", Line: 10, Column: 2,
 		Message: "field A.x is written without A.mu held"}
-	fixed := Finding{Analyzer: "detclock", File: "/mod/b.go", Line: 5, Column: 1,
+	fixed := Finding{Analyzer: "detreach", File: "/mod/b.go", Line: 5, Column: 1,
 		Message: "time.Now in simulation path"}
 
 	var buf bytes.Buffer
@@ -101,15 +101,15 @@ func TestBaselineStaleAndPrune(t *testing.T) {
 	rerun := []Finding{still}
 	base.Apply("/mod", rerun)
 	stale := base.Stale()
-	if len(stale) != 1 || stale[0].Analyzer != "detclock" {
-		t.Fatalf("stale = %+v, want the fixed detclock entry", stale)
+	if len(stale) != 1 || stale[0].Analyzer != "detreach" {
+		t.Fatalf("stale = %+v, want the fixed detreach entry", stale)
 	}
 
 	var pruned bytes.Buffer
 	if err := base.WritePruned(&pruned); err != nil {
 		t.Fatal(err)
 	}
-	if s := pruned.String(); strings.Contains(s, "detclock") || !strings.Contains(s, "locksafe") {
+	if s := pruned.String(); strings.Contains(s, "detreach") || !strings.Contains(s, "locksafe") {
 		t.Fatalf("pruned baseline off:\n%s", s)
 	}
 	reread, err := ReadBaseline(bytes.NewReader(pruned.Bytes()))

@@ -54,10 +54,10 @@ func BenchmarkLocksafe(b *testing.B)  { benchAnalyzer(b, lint.LockSafe, "locksaf
 func BenchmarkChanOwner(b *testing.B) { benchAnalyzer(b, lint.ChanOwner, "chanowner") }
 
 // benchCheckModule materializes a self-contained module for the
-// incremental-driver benchmark: three packages with enough real
+// findings-cache benchmark: three packages with enough real
 // concurrency shapes (mutexes, channels, goroutines) that the cold run
 // pays genuine parse/type-check/analysis cost, including the stdlib
-// source import of sync and time.
+// export-data import of sync and time.
 func benchCheckModule(b *testing.B) string {
 	b.Helper()
 	root := b.TempDir()
@@ -148,12 +148,13 @@ func Main() int {
 	return root
 }
 
-// BenchmarkLintColdVsWarm measures the incremental driver end to end:
-// cold runs the full pipeline (go list, parallel load, type-check,
-// all 16 analyzers) into an empty cache; warm replays the same run
-// against a primed cache, which reduces to go list plus content
-// hashing — no parsing, no type-checking, no analysis. The cold/warm
-// ratio in BENCH_10.json is the headline number for the cache.
+// BenchmarkLintColdVsWarm measures the lint driver end to end: cold
+// runs the full pipeline (go list, export-data listing, load,
+// type-check, all 15 analyzers) into an empty cache; warm replays the
+// same run against a primed cache, which reduces to one go list plus
+// content hashing — no parsing, no type-checking, no analysis. The
+// cold/warm ratio in BENCH_10.json is the headline number for the
+// cache.
 func BenchmarkLintColdVsWarm(b *testing.B) {
 	root := benchCheckModule(b)
 	b.Run("cold", func(b *testing.B) {
@@ -181,11 +182,11 @@ func BenchmarkLintColdVsWarm(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_, stats, err := lint.Check(lint.CheckOptions{Dir: root, CacheDir: cacheDir})
+			_, hit, err := lint.Check(lint.CheckOptions{Dir: root, CacheDir: cacheDir})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if !stats.LoadSkipped {
+			if !hit {
 				b.Fatal("warm iteration missed the cache")
 			}
 		}

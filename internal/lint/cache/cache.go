@@ -1,8 +1,7 @@
-// Package cache is the incremental lint driver's on-disk store: a
+// Package cache is the lint driver's on-disk findings store: a
 // content-addressed blob directory plus the fingerprint recipe that
-// keys it. A package's fingerprint covers its own sources and the
-// fingerprints of its module-local imports, so any edit anywhere in a
-// package's dependency cone changes its key and the stale entry is
+// keys it. One fingerprint covers the sources of every package a run
+// lists, so any edit anywhere changes the key and the stale entry is
 // simply never looked up again — there is no invalidation pass, old
 // entries just rot until the directory is pruned.
 package cache
@@ -19,10 +18,10 @@ import (
 	"locwatch/internal/lint/loader"
 )
 
-// FormatVersion salts every fingerprint. Bump it when the serialized
-// finding format or the fingerprint recipe changes: every old entry
-// misses and the cache rebuilds itself.
-const FormatVersion = "locwatch-lint-cache/1"
+// FormatVersion salts every key. Bump it when the serialized finding
+// format or the fingerprint recipe changes: every old entry misses and
+// the cache rebuilds itself.
+const FormatVersion = "locwatch-lint-cache/2"
 
 // Dir is a content-addressed blob store rooted at a directory. Keys
 // are hex digests; entries live at root/<key[:2]>/<key> so no single
@@ -100,31 +99,20 @@ func Key(parts ...string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Fingerprints computes the content fingerprint of every package in
-// metas: a hash over the format version, the import path, each source
-// file's name and content digest, and the fingerprints of the
-// module-local imports. Fingerprints compose bottom-up, so a package's
-// fingerprint changes when anything in its dependency cone does.
-func Fingerprints(metas map[string]loader.PackageMeta) (map[string]string, error) {
-	fps := make(map[string]string, len(metas))
-	onPath := make(map[string]bool)
-	var compute func(path string) (string, error)
-	compute = func(path string) (string, error) {
-		if fp, ok := fps[path]; ok {
-			return fp, nil
-		}
-		if onPath[path] {
-			return "", fmt.Errorf("cache: import cycle through %s", path)
-		}
-		m, ok := metas[path]
-		if !ok {
-			return "", fmt.Errorf("cache: no metadata for %s", path)
-		}
-		onPath[path] = true
-		defer delete(onPath, path)
-
-		h := sha256.New()
-		_, _ = fmt.Fprintf(h, "%s\n%s\n", FormatVersion, path) // hash.Hash.Write never errors
+// Fingerprint digests the import path and the source bytes of every
+// package in pkgs, in import-path order, into one hex string: an edit
+// to any listed package changes it, a rewrite with identical bytes
+// does not.
+func Fingerprint(pkgs map[string]loader.PackageMeta) (string, error) {
+	paths := make([]string, 0, len(pkgs))
+	for p := range pkgs {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	h := sha256.New()
+	for _, path := range paths {
+		m := pkgs[path]
+		_, _ = fmt.Fprintf(h, "package %s\n", path) // hash.Hash.Write never errors
 		for _, name := range m.GoFiles {
 			data, err := os.ReadFile(filepath.Join(m.Dir, name))
 			if err != nil {
@@ -133,42 +121,6 @@ func Fingerprints(metas map[string]loader.PackageMeta) (map[string]string, error
 			sum := sha256.Sum256(data)
 			_, _ = fmt.Fprintf(h, "file %s %s\n", name, hex.EncodeToString(sum[:]))
 		}
-		for _, imp := range m.Imports {
-			fp, err := compute(imp)
-			if err != nil {
-				return "", err
-			}
-			_, _ = fmt.Fprintf(h, "dep %s %s\n", imp, fp)
-		}
-		fp := hex.EncodeToString(h.Sum(nil))
-		fps[path] = fp
-		return fp, nil
 	}
-	paths := make([]string, 0, len(metas))
-	for p := range metas {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		if _, err := compute(p); err != nil {
-			return nil, err
-		}
-	}
-	return fps, nil
-}
-
-// Global condenses per-package fingerprints into one whole-program
-// fingerprint: the key component for analyzers whose findings can
-// change when any package anywhere in the build does.
-func Global(fps map[string]string) string {
-	paths := make([]string, 0, len(fps))
-	for p := range fps {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	h := sha256.New()
-	for _, p := range paths {
-		_, _ = fmt.Fprintf(h, "%s %s\n", p, fps[p]) // hash.Hash.Write never errors
-	}
-	return hex.EncodeToString(h.Sum(nil))
+	return hex.EncodeToString(h.Sum(nil)), nil
 }

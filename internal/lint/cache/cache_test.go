@@ -25,90 +25,61 @@ func testMetas(t *testing.T) (string, map[string]loader.PackageMeta) {
 	writeFile(t, filepath.Join(root, "b", "b.go"), "package b\n\nfunc B() int { return 1 }\n")
 	writeFile(t, filepath.Join(root, "c", "c.go"), "package c\n\nfunc C() int { return 2 }\n")
 	return root, map[string]loader.PackageMeta{
-		"m/a": {ImportPath: "m/a", Dir: filepath.Join(root, "a"), GoFiles: []string{"a.go"}, Imports: []string{"m/b"}},
-		"m/b": {ImportPath: "m/b", Dir: filepath.Join(root, "b"), GoFiles: []string{"b.go"}},
-		"m/c": {ImportPath: "m/c", Dir: filepath.Join(root, "c"), GoFiles: []string{"c.go"}},
+		"m/a": {Dir: filepath.Join(root, "a"), GoFiles: []string{"a.go"}},
+		"m/b": {Dir: filepath.Join(root, "b"), GoFiles: []string{"b.go"}},
+		"m/c": {Dir: filepath.Join(root, "c"), GoFiles: []string{"c.go"}},
 	}
 }
 
-// TestFingerprintsStable pins that fingerprints are a pure function of
-// content: recomputing over untouched sources reproduces them, and a
+func fingerprint(t *testing.T, metas map[string]loader.PackageMeta) string {
+	t.Helper()
+	fp, err := Fingerprint(metas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fp
+}
+
+// TestFingerprintsStable pins that the fingerprint is a pure function
+// of content: recomputing over untouched sources reproduces it, and a
 // rewrite with identical bytes (a "touch") changes nothing.
 func TestFingerprintsStable(t *testing.T) {
 	root, metas := testMetas(t)
-	first, err := Fingerprints(metas)
-	if err != nil {
-		t.Fatal(err)
+	first := fingerprint(t, metas)
+	if again := fingerprint(t, metas); again != first {
+		t.Fatal("fingerprint changed between two runs over the same sources")
 	}
-	if len(first) != 3 {
-		t.Fatalf("got %d fingerprints, want 3", len(first))
-	}
-	// Touch: rewrite b.go with the same content.
 	writeFile(t, filepath.Join(root, "b", "b.go"), "package b\n\nfunc B() int { return 1 }\n")
-	second, err := Fingerprints(metas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p, fp := range first {
-		if second[p] != fp {
-			t.Fatalf("fingerprint of %s changed after a no-op touch", p)
-		}
-	}
-	if Global(first) != Global(second) {
-		t.Fatal("global fingerprint changed after a no-op touch")
+	if fingerprint(t, metas) != first {
+		t.Fatal("fingerprint changed after a no-op touch")
 	}
 }
 
-// TestFingerprintsSourceEdit pins the invalidation cone of a source
-// edit: the edited package and its dependents change, bystanders keep
-// their fingerprints, and the global fingerprint always moves.
+// TestFingerprintsSourceEdit pins what moves the fingerprint: an edit
+// to any package's sources, and a change to the set of listed
+// packages.
 func TestFingerprintsSourceEdit(t *testing.T) {
 	root, metas := testMetas(t)
-	before, err := Fingerprints(metas)
-	if err != nil {
-		t.Fatal(err)
+	before := fingerprint(t, metas)
+	writeFile(t, filepath.Join(root, "c", "c.go"), "package c\n\nfunc C() int { return 3 }\n")
+	edited := fingerprint(t, metas)
+	if edited == before {
+		t.Fatal("fingerprint survived a source edit")
 	}
-	writeFile(t, filepath.Join(root, "b", "b.go"), "package b\n\nfunc B() int { return 3 }\n")
-	after, err := Fingerprints(metas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after["m/b"] == before["m/b"] {
-		t.Fatal("edited package kept its fingerprint")
-	}
-	if after["m/a"] == before["m/a"] {
-		t.Fatal("dependent package kept its fingerprint after a dep edit")
-	}
-	if after["m/c"] != before["m/c"] {
-		t.Fatal("unrelated package lost its fingerprint")
-	}
-	if Global(after) == Global(before) {
-		t.Fatal("global fingerprint survived an edit")
+	delete(metas, "m/c")
+	if fingerprint(t, metas) == edited {
+		t.Fatal("fingerprint survived dropping a package from the listing")
 	}
 }
 
-// TestFingerprintsErrors covers the failure modes: metadata naming a
-// missing file, an import with no metadata entry, and a cycle.
+// TestFingerprintsErrors covers the failure mode: metadata naming a
+// missing source file.
 func TestFingerprintsErrors(t *testing.T) {
-	_, metas := testMetas(t)
 	broken := map[string]loader.PackageMeta{
-		"m/a": {ImportPath: "m/a", Dir: "/no/such/dir", GoFiles: []string{"a.go"}},
+		"m/a": {Dir: "/no/such/dir", GoFiles: []string{"a.go"}},
 	}
-	if _, err := Fingerprints(broken); err == nil {
+	if _, err := Fingerprint(broken); err == nil {
 		t.Fatal("missing source file went unnoticed")
-	}
-	m := metas["m/a"]
-	m.Imports = []string{"m/ghost"}
-	metas["m/a"] = m
-	if _, err := Fingerprints(metas); err == nil {
-		t.Fatal("import without metadata went unnoticed")
-	}
-	cyc := map[string]loader.PackageMeta{
-		"x": {ImportPath: "x", Imports: []string{"y"}},
-		"y": {ImportPath: "y", Imports: []string{"x"}},
-	}
-	if _, err := Fingerprints(cyc); err == nil {
-		t.Fatal("fingerprint cycle went unnoticed")
 	}
 }
 

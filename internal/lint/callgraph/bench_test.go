@@ -19,18 +19,13 @@ func loadModule(b *testing.B) []*loader.Package {
 	if err != nil {
 		b.Fatal(err)
 	}
-	resolve, roots, err := loader.GoList(root, "./...")
+	mod, err := loader.GoListDeps(root, "./...")
 	if err != nil {
 		b.Fatal(err)
 	}
-	ld := loader.New(resolve)
-	pkgs := make([]*loader.Package, 0, len(roots))
-	for _, path := range roots {
-		pkg, err := ld.Load(path)
-		if err != nil {
-			b.Fatalf("loading %s: %v", path, err)
-		}
-		pkgs = append(pkgs, pkg)
+	_, pkgs, err := mod.Load()
+	if err != nil {
+		b.Fatal(err)
 	}
 	return pkgs
 }

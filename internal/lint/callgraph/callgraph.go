@@ -213,7 +213,7 @@ func spawnContextOf(body *ast.BlockStmt) *spawnContext {
 		if !ok {
 			return true
 		}
-		if lit, ok := unparen(gs.Call.Fun).(*ast.FuncLit); ok {
+		if lit, ok := ast.Unparen(gs.Call.Fun).(*ast.FuncLit); ok {
 			sc.ranges = append(sc.ranges, [2]token.Pos{lit.Body.Pos(), lit.Body.End()})
 		} else {
 			sc.direct[gs.Call] = true
@@ -302,7 +302,7 @@ func (g *Graph) resolveCalls(n *Node) {
 		// typed value (`f()`, `s.cb()`, `fs[i]()`, `get()()`). Skip
 		// conversions and builtins, then fan out to every address-
 		// taken function matching the call's signature.
-		tv := info.Types[unparen(call.Fun)]
+		tv := info.Types[ast.Unparen(call.Fun)]
 		if tv.IsType() || tv.IsBuiltin() {
 			return true
 		}
@@ -321,7 +321,7 @@ func (g *Graph) resolveCalls(n *Node) {
 // (the ident itself or a selector's Sel), or nil for calls of computed
 // function values.
 func calleeIdent(call *ast.CallExpr) *ast.Ident {
-	switch fun := unparen(call.Fun).(type) {
+	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		return fun
 	case *ast.SelectorExpr:
@@ -547,14 +547,4 @@ func (g *Graph) String() string {
 		edges += len(n.Out)
 	}
 	return fmt.Sprintf("callgraph: %d packages, %d functions, %d edges", len(g.Packages), len(g.order), edges)
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }

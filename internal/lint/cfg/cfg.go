@@ -467,16 +467,16 @@ func (b *builder) popBreakable() {
 // (testing.T-style). Purely syntactic — good enough for dead-edge
 // pruning; a miss only adds a conservative extra edge.
 func terminates(e ast.Expr) bool {
-	call, ok := unparen(e).(*ast.CallExpr)
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {
 		return false
 	}
-	switch fun := unparen(call.Fun).(type) {
+	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		return fun.Name == "panic"
 	case *ast.SelectorExpr:
 		name := fun.Sel.Name
-		if x, ok := unparen(fun.X).(*ast.Ident); ok {
+		if x, ok := ast.Unparen(fun.X).(*ast.Ident); ok {
 			switch {
 			case x.Name == "os" && name == "Exit":
 				return true
@@ -495,14 +495,4 @@ func terminates(e ast.Expr) bool {
 		}
 	}
 	return false
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 
@@ -12,7 +13,7 @@ import (
 	"locwatch/internal/lint/loader"
 )
 
-// CheckOptions configures one incremental lint run.
+// CheckOptions configures one lint run.
 type CheckOptions struct {
 	// Dir is the module root (or any directory inside it) the patterns
 	// resolve against. Empty means ".".
@@ -23,214 +24,78 @@ type CheckOptions struct {
 	Analyzers []*analysis.Analyzer
 	// CacheDir enables the findings cache when non-empty. Entries are
 	// keyed by content fingerprints, so the directory can be shared
-	// across branches and restored from CI caches without any
-	// invalidation protocol.
+	// across branches and checkouts without any invalidation protocol.
 	CacheDir string
-	// Workers bounds parallel package loading; <=0 means GOMAXPROCS.
-	Workers int
 }
 
-// CacheStats reports what one Check run got out of the cache. The
-// modular analyzers (syntactic and CFG tiers) are keyed per package,
-// the global ones (callgraph and summary tiers) additionally on the
-// whole-program fingerprint, so an edit to one package re-runs the
-// modular tier for that package only but the global tier everywhere.
-type CacheStats struct {
-	ModularHits   int `json:"modularHits"`
-	ModularMisses int `json:"modularMisses"`
-	GlobalHits    int `json:"globalHits"`
-	GlobalMisses  int `json:"globalMisses"`
-	// LoadSkipped is true when every probe hit and the run answered
-	// from the cache alone — no parsing, no type-checking, no analysis.
-	LoadSkipped bool `json:"loadSkipped"`
-}
+// toolchain salts the cache key: findings computed against one
+// standard library are never replayed under another.
+var toolchain = runtime.Version()
 
-// Check runs the suite over the packages matching the options,
-// consulting the findings cache when one is configured. Finding paths
-// are module-relative (slash-separated), which keeps cached entries
-// valid across checkout locations and makes cold and warm output
-// byte-identical.
-func Check(opts CheckOptions) ([]Finding, CacheStats, error) {
-	var stats CacheStats
+// Check runs the suite over the packages matching the options. With a
+// CacheDir it first looks up the findings of an identical earlier run
+// — same toolchain, analyzer roster, root packages and source bytes of
+// every listed package — and replays them without loading anything;
+// hit reports whether it did. Finding paths are module-relative
+// (slash-separated), which keeps cached entries valid across checkout
+// locations and makes cold and warm output byte-identical.
+func Check(opts CheckOptions) (findings []Finding, hit bool, err error) {
 	dir := opts.Dir
 	if dir == "" {
 		dir = "."
 	}
 	root, err := loader.ModuleRoot(dir)
 	if err != nil {
-		return nil, stats, err
+		return nil, false, err
 	}
 	analyzers := opts.Analyzers
 	if analyzers == nil {
 		analyzers = All()
 	}
-	var modular, global []*analysis.Analyzer
-	for _, a := range analyzers {
-		if Modular(a) {
-			modular = append(modular, a)
-		} else {
-			global = append(global, a)
-		}
-	}
-
-	metas, resolve, roots, err := loader.GoListDeps(root, opts.Patterns...)
+	mod, err := loader.GoListDeps(root, opts.Patterns...)
 	if err != nil {
-		return nil, stats, err
+		return nil, false, err
 	}
 
-	if opts.CacheDir == "" {
-		findings, err := loadAndRun(resolve, metas, roots, opts.Workers, analyzers)
+	var store *cache.Dir
+	var key string
+	if opts.CacheDir != "" {
+		if store, err = cache.Open(opts.CacheDir); err != nil {
+			return nil, false, err
+		}
+		fp, err := cache.Fingerprint(mod.Packages)
 		if err != nil {
-			return nil, stats, err
+			return nil, false, err
 		}
-		relativize(root, findings)
-		return finalizeFindings(findings), stats, nil
+		key = cache.Key(cache.FormatVersion, toolchain, rosterOf(analyzers), strings.Join(mod.Roots, "\n"), fp)
+		if cached, ok := getFindings(store, key); ok {
+			return cached, true, nil
+		}
 	}
 
-	store, err := cache.Open(opts.CacheDir)
+	ld, pkgs, err := mod.Load()
 	if err != nil {
-		return nil, stats, err
+		return nil, false, err
 	}
-	fps, err := cache.Fingerprints(metas)
+	findings, err = BuildProgram(pkgs, ld.Package).Run(analyzers)
 	if err != nil {
-		return nil, stats, err
+		return nil, false, err
 	}
-	globalFP := cache.Global(fps)
-	modRoster := rosterOf(modular)
-	globRoster := rosterOf(global)
-
-	// Probe both tiers for every target package. A tier with no
-	// analyzers is vacuously cached: it contributes no findings.
-	type probe struct {
-		key     string
-		hit     bool
-		cached  []Finding
-		enabled bool
-	}
-	modProbes := make([]probe, len(roots))
-	globProbes := make([]probe, len(roots))
-	allHit := true
-	for i, r := range roots {
-		if len(modular) > 0 {
-			p := &modProbes[i]
-			p.enabled = true
-			p.key = cache.Key("modular", fps[r], modRoster)
-			p.cached, p.hit = getFindings(store, p.key)
-			if p.hit {
-				stats.ModularHits++
-			} else {
-				stats.ModularMisses++
-				allHit = false
-			}
-		}
-		if len(global) > 0 {
-			p := &globProbes[i]
-			p.enabled = true
-			p.key = cache.Key("global", fps[r], globalFP, globRoster)
-			p.cached, p.hit = getFindings(store, p.key)
-			if p.hit {
-				stats.GlobalHits++
-			} else {
-				stats.GlobalMisses++
-				allHit = false
-			}
+	relativize(root, findings)
+	if store != nil {
+		if err := putFindings(store, key, findings); err != nil {
+			return nil, false, err
 		}
 	}
-
-	if allHit {
-		stats.LoadSkipped = true
-		var all []Finding
-		for i := range roots {
-			all = append(all, modProbes[i].cached...)
-			all = append(all, globProbes[i].cached...)
-		}
-		return finalizeFindings(all), stats, nil
-	}
-
-	ld := loader.New(resolve)
-	pkgs, err := ld.LoadAll(metas, roots, opts.Workers)
-	if err != nil {
-		return nil, stats, err
-	}
-	prog := BuildProgram(pkgs, ld.Package)
-
-	var all []Finding
-	fill := func(pkg *loader.Package, p *probe, tier []*analysis.Analyzer) error {
-		if !p.enabled {
-			return nil
-		}
-		if p.hit {
-			all = append(all, p.cached...)
-			return nil
-		}
-		fresh, err := runTier(prog, pkg, tier)
-		if err != nil {
-			return err
-		}
-		relativize(root, fresh)
-		finalizePackage(fresh)
-		if err := putFindings(store, p.key, fresh); err != nil {
-			return err
-		}
-		all = append(all, fresh...)
-		return nil
-	}
-	for i, pkg := range pkgs {
-		if err := fill(pkg, &modProbes[i], modular); err != nil {
-			return nil, stats, err
-		}
-		if err := fill(pkg, &globProbes[i], global); err != nil {
-			return nil, stats, err
-		}
-	}
-	return finalizeFindings(all), stats, nil
-}
-
-// loadAndRun is the uncached path: parallel load, whole-program build,
-// full suite.
-func loadAndRun(resolve loader.Resolver, metas map[string]loader.PackageMeta, roots []string, workers int, analyzers []*analysis.Analyzer) ([]Finding, error) {
-	ld := loader.New(resolve)
-	pkgs, err := ld.LoadAll(metas, roots, workers)
-	if err != nil {
-		return nil, err
-	}
-	prog := BuildProgram(pkgs, ld.Package)
-	var all []Finding
-	for _, pkg := range pkgs {
-		fresh, err := runTier(prog, pkg, analyzers)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, fresh...)
-	}
-	return all, nil
-}
-
-func runTier(prog *Program, pkg *loader.Package, tier []*analysis.Analyzer) ([]Finding, error) {
-	var out []Finding
-	for _, a := range tier {
-		fs, err := prog.RunPackage(pkg, a)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, fs...)
-	}
-	return out, nil
-}
-
-// finalizePackage canonicalizes one package's findings before they are
-// cached: same sort and dedupe as the final merge, so replaying cached
-// entries reproduces the cold run byte for byte.
-func finalizePackage(fs []Finding) {
-	sortFindings(fs)
+	return findings, false, nil
 }
 
 // rosterOf identifies an analyzer set for cache keying: names sorted
 // and joined, so enabling, disabling or renaming any analyzer changes
-// every key it participates in.
-func rosterOf(tier []*analysis.Analyzer) string {
-	names := make([]string, len(tier))
-	for i, a := range tier {
+// the key.
+func rosterOf(analyzers []*analysis.Analyzer) string {
+	names := make([]string, len(analyzers))
+	for i, a := range analyzers {
 		names[i] = a.Name
 	}
 	sort.Strings(names)
@@ -260,8 +125,7 @@ func relPath(root, file string) string {
 	return filepath.ToSlash(rel)
 }
 
-// cacheEntry is the serialized form of one tier's findings for one
-// package.
+// cacheEntry is the serialized form of one run's findings.
 type cacheEntry struct {
 	Findings []Finding `json:"findings"`
 }
@@ -273,7 +137,7 @@ func getFindings(store *cache.Dir, key string) ([]Finding, bool) {
 	}
 	var e cacheEntry
 	if err := json.Unmarshal(data, &e); err != nil {
-		// A corrupt entry is a miss; the slot is overwritten below.
+		// A corrupt entry is a miss; the run overwrites it.
 		return nil, false
 	}
 	return e.Findings, true

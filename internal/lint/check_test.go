@@ -10,9 +10,8 @@ import (
 	"locwatch/internal/lint"
 )
 
-// fixtureModule materializes a tiny self-contained module exercising
-// both cache tiers: package a has a blockhold finding (global tier)
-// and imports package b, which is clean.
+// fixtureModule materializes a tiny self-contained module: package a
+// has a blockhold finding and imports package b, which is clean.
 func fixtureModule(t *testing.T) string {
 	t.Helper()
 	root := t.TempDir()
@@ -63,24 +62,21 @@ func marshalFindings(t *testing.T, fs []lint.Finding) []byte {
 	return data
 }
 
-// TestCheckColdWarmIdentical is the incremental driver's core
-// contract: a warm run after a no-op touch answers entirely from the
-// cache — no load, no type-check — and its findings are byte-for-byte
-// the cold run's; after a real edit the cache repopulates and a second
-// run reproduces the post-edit findings byte-for-byte too.
+// TestCheckColdWarmIdentical is the findings cache's core contract: a
+// warm run after a no-op touch answers entirely from the cache — no
+// load, no type-check — and its findings are byte-for-byte the cold
+// run's; after a real edit the run misses and repopulates, and a
+// second run reproduces the post-edit findings byte-for-byte too.
 func TestCheckColdWarmIdentical(t *testing.T) {
 	root := fixtureModule(t)
 	opts := lint.CheckOptions{Dir: root, CacheDir: filepath.Join(root, ".lintcache")}
 
-	cold, coldStats, err := lint.Check(opts)
+	cold, hit, err := lint.Check(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if coldStats.LoadSkipped {
-		t.Fatal("cold run claims it skipped loading")
-	}
-	if coldStats.ModularMisses == 0 || coldStats.GlobalMisses == 0 {
-		t.Fatalf("cold run stats %+v, want misses in both tiers", coldStats)
+	if hit {
+		t.Fatal("cold run hit the cache")
 	}
 	var found bool
 	for _, f := range cold {
@@ -101,48 +97,37 @@ func TestCheckColdWarmIdentical(t *testing.T) {
 	if err := os.WriteFile(aPath, content, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	warm, warmStats, err := lint.Check(opts)
+	warm, hit, err := lint.Check(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !warmStats.LoadSkipped {
-		t.Fatalf("warm run stats %+v, want LoadSkipped", warmStats)
-	}
-	if warmStats.ModularMisses != 0 || warmStats.GlobalMisses != 0 {
-		t.Fatalf("warm run stats %+v, want zero misses", warmStats)
+	if !hit {
+		t.Fatal("warm run after a no-op touch missed the cache")
 	}
 	if !bytes.Equal(marshalFindings(t, cold), marshalFindings(t, warm)) {
 		t.Fatalf("warm findings diverge from cold:\n cold %s\n warm %s",
 			marshalFindings(t, cold), marshalFindings(t, warm))
 	}
 
-	// Real edit to a: b is untouched, so its modular entry survives,
-	// but the whole-program fingerprint moves and the global tier
-	// re-runs everywhere.
+	// Real edit to a: the key moves and the whole suite re-runs.
 	edited := append([]byte(nil), content...)
 	edited = append(edited, []byte("\nfunc (q *Q) Len() int {\n\tq.mu.Lock()\n\tdefer q.mu.Unlock()\n\treturn len(q.ch)\n}\n")...)
 	if err := os.WriteFile(aPath, edited, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	after, afterStats, err := lint.Check(opts)
+	after, hit, err := lint.Check(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if afterStats.LoadSkipped {
-		t.Fatal("post-edit run claims it skipped loading")
+	if hit {
+		t.Fatal("post-edit run hit the cache")
 	}
-	if afterStats.ModularHits != 1 || afterStats.ModularMisses != 1 {
-		t.Fatalf("post-edit stats %+v, want the untouched package's modular entry to hit", afterStats)
-	}
-	if afterStats.GlobalHits != 0 || afterStats.GlobalMisses != 2 {
-		t.Fatalf("post-edit stats %+v, want the global tier to miss everywhere", afterStats)
-	}
-	warmAfter, warmAfterStats, err := lint.Check(opts)
+	warmAfter, hit, err := lint.Check(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !warmAfterStats.LoadSkipped {
-		t.Fatalf("second post-edit run stats %+v, want LoadSkipped", warmAfterStats)
+	if !hit {
+		t.Fatal("second post-edit run missed the cache")
 	}
 	if !bytes.Equal(marshalFindings(t, after), marshalFindings(t, warmAfter)) {
 		t.Fatal("post-edit warm findings diverge from the post-edit cold run")
@@ -150,7 +135,7 @@ func TestCheckColdWarmIdentical(t *testing.T) {
 }
 
 // TestCheckRosterInvalidates pins the analyzer-roster salt: the same
-// sources probed with a different analyzer set miss the cache.
+// sources checked with a different analyzer set miss the cache.
 func TestCheckRosterInvalidates(t *testing.T) {
 	root := fixtureModule(t)
 	opts := lint.CheckOptions{Dir: root, CacheDir: filepath.Join(root, ".lintcache")}
@@ -158,30 +143,46 @@ func TestCheckRosterInvalidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	subset := lint.All()[:len(lint.All())-1]
-	_, stats, err := lint.Check(lint.CheckOptions{
+	_, hit, err := lint.Check(lint.CheckOptions{
 		Dir: root, CacheDir: opts.CacheDir, Analyzers: subset,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.LoadSkipped {
-		t.Fatalf("roster change stats %+v, want a full re-run", stats)
+	if hit {
+		t.Fatal("a roster change hit the cache")
 	}
-	if stats.ModularMisses == 0 && stats.GlobalMisses == 0 {
-		t.Fatalf("roster change stats %+v, want misses", stats)
+}
+
+// TestCheckToolchainInvalidates pins the toolchain salt: an unchanged
+// tree checked under another Go version misses the cache, because its
+// findings were computed against another standard library.
+func TestCheckToolchainInvalidates(t *testing.T) {
+	root := fixtureModule(t)
+	opts := lint.CheckOptions{Dir: root, CacheDir: filepath.Join(root, ".lintcache")}
+	if _, _, err := lint.Check(opts); err != nil {
+		t.Fatal(err)
+	}
+	defer lint.SetToolchain("go0.0-other")()
+	_, hit, err := lint.Check(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit {
+		t.Fatal("a toolchain change hit the cache")
 	}
 }
 
 // TestCheckNoCache pins the uncached path: same findings as the cached
-// cold run, zero-valued stats.
+// cold run, and never a hit.
 func TestCheckNoCache(t *testing.T) {
 	root := fixtureModule(t)
-	plain, stats, err := lint.Check(lint.CheckOptions{Dir: root})
+	plain, hit, err := lint.Check(lint.CheckOptions{Dir: root})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats != (lint.CacheStats{}) {
-		t.Fatalf("uncached stats = %+v, want zero", stats)
+	if hit {
+		t.Fatal("uncached run reports a cache hit")
 	}
 	cached, _, err := lint.Check(lint.CheckOptions{Dir: root, CacheDir: filepath.Join(root, ".lintcache")})
 	if err != nil {

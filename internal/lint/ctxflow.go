@@ -52,7 +52,7 @@ func runCtxFlow(pass *analysis.Pass) error {
 		switch m := m.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range m.Lhs {
-				if sel, ok := analysis.Unparen(lhs).(*ast.SelectorExpr); ok {
+				if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
 					if f := ctxField(pass.TypesInfo, sel); f != nil {
 						pass.Reportf(sel.Sel.Pos(), "context stored in struct field %s; pass ctx per call instead — a stored context outlives the request it belongs to", f.Name())
 					}

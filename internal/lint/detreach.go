@@ -10,15 +10,18 @@ import (
 
 // DetReach turns the DESIGN §7/§8 determinism promise into a
 // compile-time gate: no function reachable from the deterministic
-// pipeline entry points — mobility.World trace emission, the
-// experiments.Lab figure paths, poi extraction — may transitively read
+// pipeline — every function of the simulation packages (mobility,
+// trace, plt, experiments) plus poi extraction — may transitively read
 // the wall clock (time.Now/Since/Until) or ambient randomness (the
-// global math/rand and crypto/rand functions). Where detclock flags
-// direct clock calls inside the deterministic packages themselves,
-// detreach follows the whole-program call graph (internal/lint/
-// callgraph, CHA over interface dispatch), so a helper three packages
-// away that sneaks in a time.Now() breaks the build the moment a trace
-// or figure path can reach it.
+// global math/rand and crypto/rand functions). Every Table III /
+// Figure 2–5 number depends on traces being reproducible from a seed,
+// so a clock read inside those packages is flagged even when nothing
+// calls it yet, and the analyzer follows the whole-program call graph
+// (internal/lint/callgraph, CHA over interface dispatch), so a helper
+// three packages away that sneaks in a time.Now() breaks the build the
+// moment a trace or figure path can reach it. Simulated time must come
+// from injected anchors (mobility.Config.Start, android.NewDevice's
+// start argument).
 //
 // Functions in observe-only `obs` packages are exempt (DESIGN §8: the
 // instrumentation layer reads real time but changes no emitted bit),
@@ -37,28 +40,44 @@ var DetReach = &analysis.Analyzer{
 	Run: runDetReach,
 }
 
-// detRootSpec selects entry-point functions by package name, receiver
+// detPackages names the deterministic simulation packages: every
+// function in them is an entry point.
+var detPackages = map[string]bool{
+	"mobility":    true,
+	"trace":       true,
+	"plt":         true,
+	"experiments": true,
+}
+
+// detRootSpec selects further entry points by package name, receiver
 // type name and function name; "*" matches any exported name.
 type detRootSpec struct {
 	pkg, recv, fn string
 }
 
 var detRootSpecs = []detRootSpec{
-	{"mobility", "World", "Trace"},
-	{"mobility", "World", "TraceTimes"},
-	{"mobility", "World", "TraceFromDay"},
-	{"experiments", "", "*"},
-	{"experiments", "Lab", "*"},
 	{"poi", "", "Extract"},
 	{"poi", "Extractor", "*"},
 }
 
-func (s detRootSpec) matches(n *callgraph.Node) bool {
-	fn := n.Func
-	if fn.Pkg() == nil || fn.Pkg().Name() != s.pkg {
+func isDetRoot(n *callgraph.Node) bool {
+	if n.Func.Pkg() == nil {
 		return false
 	}
-	if n.RecvName() != s.recv {
+	if detPackages[n.Func.Pkg().Name()] {
+		return true
+	}
+	for _, spec := range detRootSpecs {
+		if spec.matches(n) {
+			return true
+		}
+	}
+	return false
+}
+
+func (s detRootSpec) matches(n *callgraph.Node) bool {
+	fn := n.Func
+	if fn.Pkg().Name() != s.pkg || n.RecvName() != s.recv {
 		return false
 	}
 	if s.fn == "*" {
@@ -73,11 +92,8 @@ func (s detRootSpec) matches(n *callgraph.Node) bool {
 func (p *Program) detRootsAndReach() ([]*callgraph.Node, map[*callgraph.Node]bool) {
 	if !p.detReady {
 		for _, n := range p.Graph.Nodes() {
-			for _, spec := range detRootSpecs {
-				if spec.matches(n) {
-					p.detRoots = append(p.detRoots, n)
-					break
-				}
+			if isDetRoot(n) {
+				p.detRoots = append(p.detRoots, n)
 			}
 		}
 		p.detReach = p.Graph.Reachable(p.detRoots)

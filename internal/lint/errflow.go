@@ -47,7 +47,7 @@ func runErrFlow(pass *analysis.Pass) error {
 			var call *ast.CallExpr
 			switch n := n.(type) {
 			case *ast.ExprStmt:
-				call, _ = analysis.Unparen(n.X).(*ast.CallExpr)
+				call, _ = ast.Unparen(n.X).(*ast.CallExpr)
 			case *ast.GoStmt:
 				call = n.Call
 			case *ast.DeferStmt:
@@ -119,9 +119,9 @@ func excludedErrCall(info *types.Info, call *ast.CallExpr) bool {
 // infallibleWriter reports whether the expression is os.Stderr or an
 // in-memory writer whose Write never fails.
 func infallibleWriter(info *types.Info, arg ast.Expr) bool {
-	e := analysis.Unparen(arg)
+	e := ast.Unparen(arg)
 	if sel, ok := e.(*ast.SelectorExpr); ok {
-		if x, ok := analysis.Unparen(sel.X).(*ast.Ident); ok && x.Name == "os" && sel.Sel.Name == "Stderr" {
+		if x, ok := ast.Unparen(sel.X).(*ast.Ident); ok && x.Name == "os" && sel.Sel.Name == "Stderr" {
 			return true
 		}
 	}
@@ -276,7 +276,7 @@ func exemptErrVars(info *types.Info, unit ast.Node, body *ast.BlockStmt) map[*ty
 			return false
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
-				if id, ok := analysis.Unparen(n.X).(*ast.Ident); ok {
+				if id, ok := ast.Unparen(n.X).(*ast.Ident); ok {
 					if v, ok := info.Uses[id].(*types.Var); ok && isErrorType(v.Type()) {
 						exempt[v] = true
 					}
@@ -334,7 +334,7 @@ func nodeErrEvents(info *types.Info, n ast.Node, isLocal func(*types.Var) bool, 
 		})
 	}
 	def := func(e ast.Expr, reportable bool) {
-		id, ok := analysis.Unparen(e).(*ast.Ident)
+		id, ok := ast.Unparen(e).(*ast.Ident)
 		if !ok || id.Name == "_" {
 			return
 		}
@@ -353,7 +353,7 @@ func nodeErrEvents(info *types.Info, n ast.Node, isLocal func(*types.Var) bool, 
 			use(rhs)
 		}
 		for _, lhs := range n.Lhs {
-			if _, ok := analysis.Unparen(lhs).(*ast.Ident); ok {
+			if _, ok := ast.Unparen(lhs).(*ast.Ident); ok {
 				def(lhs, true)
 			} else {
 				use(lhs) // err.(*T).field = … style: reads the base

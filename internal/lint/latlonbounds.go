@@ -117,11 +117,11 @@ func latLonValidated(pass *analysis.Pass, lit *ast.CompositeLit, stack []ast.Nod
 		if !ok {
 			return true
 		}
-		sel, ok := analysis.Unparen(call.Fun).(*ast.SelectorExpr)
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 		if !ok || sel.Sel.Name != "Valid" {
 			return true
 		}
-		if id, ok := analysis.Unparen(sel.X).(*ast.Ident); ok && pass.TypesInfo.Uses[id] == obj {
+		if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok && pass.TypesInfo.Uses[id] == obj {
 			validated = true
 			return false
 		}
@@ -170,9 +170,9 @@ func assignedVar(info *types.Info, lit *ast.CompositeLit, stack []ast.Node) type
 
 // stripRef unwraps parentheses and a leading & from e.
 func stripRef(e ast.Expr) ast.Expr {
-	e = analysis.Unparen(e)
+	e = ast.Unparen(e)
 	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
-		e = analysis.Unparen(u.X)
+		e = ast.Unparen(u.X)
 	}
 	return e
 }

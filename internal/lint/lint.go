@@ -22,7 +22,7 @@ import (
 	"locwatch/internal/lint/loader"
 )
 
-// All returns the full analyzer suite in stable order: the five
+// All returns the full analyzer suite in stable order: the four
 // syntactic analyzers from the first tier, the flow-sensitive tier
 // (errflow, exhaustenum, nilfacade) built on internal/lint/cfg, the
 // interprocedural tier (detreach, privtaint, spawnleak, plus
@@ -37,7 +37,6 @@ func All() []*analysis.Analyzer {
 		BlockHold,
 		ChanOwner,
 		CtxFlow,
-		DetClock,
 		DetReach,
 		DurationSeconds,
 		ErrFlow,
@@ -50,22 +49,6 @@ func All() []*analysis.Analyzer {
 		PrivTaint,
 		SpawnLeak,
 	}
-}
-
-// Modular reports whether a's findings depend only on the target
-// package and its import closure — the syntactic and CFG tiers. Every
-// analyzer consulting the call graph or the bottom-up summaries is
-// global: CHA resolution, spawn flooding and entry locksets all see
-// packages outside the target's own closure, so the incremental driver
-// keys their cached findings on the whole-program fingerprint instead
-// of the per-package one.
-func Modular(a *analysis.Analyzer) bool {
-	switch a.Name {
-	case "angleunits", "detclock", "durationseconds", "errflow",
-		"exhaustenum", "latlonbounds", "lockedmap":
-		return true
-	}
-	return false
 }
 
 // Finding is one diagnostic, positioned and attributed.

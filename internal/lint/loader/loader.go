@@ -1,9 +1,9 @@
 // Package loader parses and type-checks Go packages for the lint
 // framework using only the standard library. Module-local packages are
-// resolved either through `go list` (the real repository) or through a
-// GOPATH-style source root (analysistest fixtures); standard-library
-// imports are type-checked from source via go/importer, which needs no
-// pre-built export data and no network.
+// type-checked from source, resolved either through `go list` (the
+// real repository) or through a GOPATH-style source root
+// (analysistest fixtures); standard-library imports are read from the
+// compiler export data that `go list -export` reports.
 package loader
 
 import (
@@ -16,13 +16,12 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Package is one parsed, type-checked package.
@@ -42,79 +41,62 @@ type Package struct {
 // library importer.
 type Resolver func(importPath string) (dir string, goFiles []string, ok bool, err error)
 
-// Loader loads packages on demand and memoizes the results. Load may
-// be called from several goroutines: concurrent requests for the same
-// path coalesce onto one type-check, and requests for different
-// packages proceed in parallel (the shared FileSet is internally
-// locked; the source importer for the standard library is serialized
-// behind its own mutex). Import cycles are detected along each
-// goroutine's own recursion chain — a cycle split across goroutines is
-// invalid Go that `go list` rejects before a Loader ever sees it.
+// Loader loads packages on demand and memoizes the results. It is not
+// safe for concurrent use.
 type Loader struct {
 	Fset *token.FileSet
 
 	resolve Resolver
 	std     types.Importer
-	stdMu   sync.Mutex
+	// exports maps standard-library import paths to export data files.
+	// A path missing from it is filled by `go list -export -deps`.
+	exports map[string]string
 
-	mu      sync.Mutex
-	entries map[string]*loadEntry
-}
-
-// loadEntry is the in-flight or completed load of one package: done is
-// closed once pkg/err are final.
-type loadEntry struct {
-	done chan struct{}
-	pkg  *Package
-	err  error
-}
-
-// complete publishes the load result and releases every goroutine
-// waiting on done. Called exactly once, by the goroutine that claimed
-// the entry.
-func (e *loadEntry) complete(pkg *Package, err error) {
-	e.pkg, e.err = pkg, err
-	close(e.done)
+	pkgs    map[string]*Package
+	loading map[string]bool // packages on the current Load stack
 }
 
 // New returns a Loader over the given resolver.
 func New(resolve Resolver) *Loader {
-	fset := token.NewFileSet()
-	return &Loader{
-		Fset:    fset,
+	l := &Loader{
+		Fset:    token.NewFileSet(),
 		resolve: resolve,
-		std:     importer.ForCompiler(fset, "source", nil),
-		entries: make(map[string]*loadEntry),
+		exports: make(map[string]string),
+		pkgs:    make(map[string]*Package),
+		loading: make(map[string]bool),
 	}
+	l.std = importer.ForCompiler(l.Fset, "gc", l.openExport)
+	return l
 }
 
 // Load returns the package at the given import path, type-checking it
 // (and its module-local dependencies) on first use.
 func (l *Loader) Load(path string) (*Package, error) {
-	return l.load(path, nil)
-}
-
-// load claims or joins the entry for path. chain is the set of paths
-// the current goroutine is already type-checking, for cycle detection.
-func (l *Loader) load(path string, chain map[string]bool) (*Package, error) {
-	if chain[path] {
+	if p := l.pkgs[path]; p != nil {
+		return p, nil
+	}
+	if l.loading[path] {
 		return nil, fmt.Errorf("loader: import cycle through %s", path)
 	}
-	l.mu.Lock()
-	e, ok := l.entries[path]
-	if ok {
-		l.mu.Unlock()
-		<-e.done
-		return e.pkg, e.err
+	l.loading[path] = true
+	defer delete(l.loading, path)
+	p, err := l.typeCheck(path)
+	if err != nil {
+		return nil, err
 	}
-	e = &loadEntry{done: make(chan struct{})}
-	l.entries[path] = e
-	l.mu.Unlock()
-	e.complete(l.typeCheck(path, chain))
-	return e.pkg, e.err
+	l.pkgs[path] = p
+	return p, nil
 }
 
-func (l *Loader) typeCheck(path string, chain map[string]bool) (*Package, error) {
+// Package returns the already-loaded package at the given import path,
+// or nil when no Load (direct or as a dependency of another Load) has
+// produced it. Whole-program passes use this to pull in the memoized
+// dependency closure without re-type-checking anything.
+func (l *Loader) Package(path string) *Package {
+	return l.pkgs[path]
+}
+
+func (l *Loader) typeCheck(path string) (*Package, error) {
 	dir, files, ok, err := l.resolve(path)
 	if err != nil {
 		return nil, err
@@ -125,11 +107,6 @@ func (l *Loader) typeCheck(path string, chain map[string]bool) (*Package, error)
 	if len(files) == 0 {
 		return nil, fmt.Errorf("loader: no Go files in %s", path)
 	}
-	sub := make(map[string]bool, len(chain)+1)
-	for p := range chain {
-		sub[p] = true
-	}
-	sub[path] = true
 
 	astFiles := make([]*ast.File, 0, len(files))
 	for _, name := range files {
@@ -150,10 +127,8 @@ func (l *Loader) typeCheck(path string, chain map[string]bool) (*Package, error)
 	}
 	var typeErrs []error
 	conf := types.Config{
-		Importer: importerFunc(func(dep string) (*types.Package, error) {
-			return l.importDep(dep, sub)
-		}),
-		Error: func(err error) { typeErrs = append(typeErrs, err) },
+		Importer: importerFunc(l.importDep),
+		Error:    func(err error) { typeErrs = append(typeErrs, err) },
 	}
 	tpkg, err := conf.Check(path, l.Fset, astFiles, info)
 	if len(typeErrs) > 0 {
@@ -174,291 +149,137 @@ func (l *Loader) typeCheck(path string, chain map[string]bool) (*Package, error)
 	}, nil
 }
 
-// Package returns the already-loaded package at the given import path,
-// or nil when no Load (direct or as a dependency of another Load) has
-// produced it. Whole-program passes use this to pull in the memoized
-// dependency closure without re-type-checking anything.
-func (l *Loader) Package(path string) *Package {
-	l.mu.Lock()
-	e, ok := l.entries[path]
-	l.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	select {
-	case <-e.done:
-		return e.pkg
-	default:
-		return nil
-	}
-}
-
 // importDep satisfies imports during type-checking: module-local paths
-// go through load, everything else through the stdlib source importer.
-func (l *Loader) importDep(path string, chain map[string]bool) (*types.Package, error) {
-	if path == "unsafe" {
-		return types.Unsafe, nil
-	}
+// go through Load, everything else through the export-data importer.
+func (l *Loader) importDep(path string) (*types.Package, error) {
 	if _, _, ok, err := l.resolve(path); err != nil {
 		return nil, err
 	} else if ok {
-		p, err := l.load(path, chain)
+		p, err := l.Load(path)
 		if err != nil {
 			return nil, err
 		}
 		return p.Types, nil
 	}
-	l.stdMu.Lock()
-	defer l.stdMu.Unlock()
 	return l.std.Import(path)
+}
+
+// openExport is the export-data importer's lookup. On a miss it lists
+// the path's dependency closure with `go list -export -deps` and
+// remembers every entry, so one run serves most later misses too.
+func (l *Loader) openExport(path string) (io.ReadCloser, error) {
+	if _, ok := l.exports[path]; !ok {
+		if err := l.addExports("", "-deps", path); err != nil {
+			return nil, err
+		}
+	}
+	file := l.exports[path]
+	if file == "" {
+		return nil, fmt.Errorf("loader: no export data for %s", path)
+	}
+	return os.Open(file)
+}
+
+// addExports runs `go list -export` in dir over args and records the
+// export data file of every listed package.
+func (l *Loader) addExports(dir string, args ...string) error {
+	listed, err := goList(dir, append([]string{"-export"}, args...))
+	if err != nil {
+		return err
+	}
+	for _, p := range listed {
+		l.exports[p.ImportPath] = p.Export
+	}
+	return nil
 }
 
 type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
+// PackageMeta describes one non-standard package as reported by
+// `go list`: where its sources live.
+type PackageMeta struct {
+	Dir     string
+	GoFiles []string // source file names, tests excluded
+}
+
+// Module is one `go list -deps` listing of a module's packages.
+type Module struct {
+	// Roots are the sorted import paths matching the patterns.
+	Roots []string
+	// Packages holds every non-standard package in the transitive
+	// dependency graph of the patterns, keyed by import path.
+	Packages map[string]PackageMeta
+
+	dir string
+	std []string // standard-library packages in the listing
+}
+
+// GoListDeps resolves patterns (e.g. "./..."; none means "./...")
+// against the module rooted at dir with a single `go list -deps`.
+func GoListDeps(dir string, patterns ...string) (*Module, error) {
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
+	}
+	listed, err := goList(dir, append([]string{"-deps"}, patterns...))
+	if err != nil {
+		return nil, err
+	}
+	m := &Module{Packages: make(map[string]PackageMeta), dir: dir}
+	for _, p := range listed {
+		if p.Standard {
+			m.std = append(m.std, p.ImportPath)
+			continue
+		}
+		m.Packages[p.ImportPath] = PackageMeta{Dir: p.Dir, GoFiles: p.GoFiles}
+		if !p.DepOnly && len(p.GoFiles) > 0 {
+			m.Roots = append(m.Roots, p.ImportPath)
+		}
+	}
+	sort.Strings(m.Roots)
+	return m, nil
+}
+
+// Load type-checks the roots and their module-local dependencies,
+// reading the standard library from the export data one
+// `go list -export` run reports for the listing's standard packages.
+// It returns the loader, whose Package method serves the dependency
+// closure, and the root packages in Roots order.
+func (m *Module) Load() (*Loader, []*Package, error) {
+	ld := New(func(path string) (string, []string, bool, error) {
+		p, ok := m.Packages[path]
+		return p.Dir, p.GoFiles, ok, nil
+	})
+	if len(m.std) > 0 {
+		if err := ld.addExports(m.dir, m.std...); err != nil {
+			return nil, nil, err
+		}
+	}
+	pkgs := make([]*Package, 0, len(m.Roots))
+	for _, r := range m.Roots {
+		p, err := ld.Load(r)
+		if err != nil {
+			return nil, nil, err
+		}
+		pkgs = append(pkgs, p)
+	}
+	return ld, pkgs, nil
+}
+
 // listedPackage is the subset of `go list -json` output the loader
 // consumes.
 type listedPackage struct {
 	ImportPath string
-	Name       string
 	Dir        string
 	GoFiles    []string
-	Imports    []string
 	Standard   bool
+	DepOnly    bool
+	Export     string
 }
 
-// PackageMeta describes one module-local package as reported by
-// `go list`: where its sources live and which module-local packages it
-// imports — enough to fingerprint it and to schedule the package DAG
-// without parsing anything.
-type PackageMeta struct {
-	ImportPath string
-	Dir        string
-	GoFiles    []string // sorted source file names, tests excluded
-	Imports    []string // module-local imports only, sorted
-}
-
-// GoList resolves patterns (e.g. "./...") against the module rooted at
-// dir. It returns a Resolver covering every non-standard package in the
-// transitive dependency graph, plus the sorted import paths matching
-// the patterns themselves.
-func GoList(dir string, patterns ...string) (Resolver, []string, error) {
-	_, resolve, roots, err := GoListDeps(dir, patterns...)
-	return resolve, roots, err
-}
-
-// GoListDeps is GoList plus the package metadata itself: one
-// PackageMeta per non-standard package in the transitive dependency
-// graph of the patterns, keyed by import path. The incremental driver
-// fingerprints packages and schedules parallel loads from this map.
-func GoListDeps(dir string, patterns ...string) (map[string]PackageMeta, Resolver, []string, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	listed, err := runGoList(dir, append([]string{"-deps"}, patterns...))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	byPath := make(map[string]listedPackage)
-	for _, m := range listed {
-		if !m.Standard {
-			byPath[m.ImportPath] = m
-		}
-	}
-	metas := make(map[string]PackageMeta, len(byPath))
-	for path, m := range byPath {
-		meta := PackageMeta{ImportPath: path, Dir: m.Dir}
-		meta.GoFiles = append(meta.GoFiles, m.GoFiles...)
-		sort.Strings(meta.GoFiles)
-		for _, imp := range m.Imports {
-			if _, ok := byPath[imp]; ok {
-				meta.Imports = append(meta.Imports, imp)
-			}
-		}
-		sort.Strings(meta.Imports)
-		metas[path] = meta
-	}
-	rootListed, err := runGoList(dir, patterns)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	var roots []string
-	for _, m := range rootListed {
-		if !m.Standard && len(m.GoFiles) > 0 {
-			roots = append(roots, m.ImportPath)
-		}
-	}
-	sort.Strings(roots)
-	resolve := func(path string) (string, []string, bool, error) {
-		m, ok := byPath[path]
-		if !ok {
-			return "", nil, false, nil
-		}
-		return m.Dir, m.GoFiles, true, nil
-	}
-	return metas, resolve, roots, nil
-}
-
-// LoadAll type-checks the dependency closure of roots in parallel:
-// a package is scheduled as soon as every module-local import it has
-// is done, so independent subtrees of the package DAG check
-// concurrently while each dependency chain stays sequential. workers
-// bounds the number of packages in flight (<=0 means GOMAXPROCS). The
-// returned slice holds the root packages in the order given.
-func (l *Loader) LoadAll(metas map[string]PackageMeta, roots []string, workers int) ([]*Package, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	closure := make(map[string]bool)
-	var visit func(p string) error
-	visit = func(p string) error {
-		if closure[p] {
-			return nil
-		}
-		m, ok := metas[p]
-		if !ok {
-			return fmt.Errorf("loader: no metadata for %s", p)
-		}
-		closure[p] = true
-		for _, imp := range m.Imports {
-			if err := visit(imp); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, r := range roots {
-		if err := visit(r); err != nil {
-			return nil, err
-		}
-	}
-
-	blockers := make(map[string]int, len(closure))
-	dependents := make(map[string][]string, len(closure))
-	for p := range closure {
-		n := 0
-		for _, imp := range metas[p].Imports {
-			if closure[imp] {
-				n++
-				dependents[imp] = append(dependents[imp], p)
-			}
-		}
-		blockers[p] = n
-	}
-	// Reject cycles up front: with one, some package never unblocks and
-	// the worker pool would wait forever.
-	if err := checkAcyclic(blockers, dependents); err != nil {
-		return nil, err
-	}
-
-	ready := make(chan string, len(closure))
-	var (
-		mu       sync.Mutex
-		firstErr error
-		done     int
-	)
-	pending := make(map[string]int, len(blockers))
-	for p, n := range blockers {
-		pending[p] = n
-		if n == 0 {
-			ready <- p
-		}
-	}
-	if len(closure) == 0 {
-		close(ready)
-	}
-	finish := func(p string, err error) {
-		mu.Lock()
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		var unblocked []string
-		for _, d := range dependents[p] {
-			pending[d]--
-			if pending[d] == 0 {
-				unblocked = append(unblocked, d)
-			}
-		}
-		done++
-		last := done == len(closure)
-		mu.Unlock()
-		// ready is buffered to the full closure, so these sends never
-		// block; they stay outside mu regardless. The close cannot race
-		// another finish's sends: done only reaches len(closure) after
-		// every unblocked package has itself finished, which orders its
-		// enqueue before this close.
-		for _, d := range unblocked {
-			ready <- d
-		}
-		if last {
-			close(ready)
-		}
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for p := range ready {
-				_, err := l.Load(p)
-				finish(p, err)
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	out := make([]*Package, 0, len(roots))
-	for _, r := range roots {
-		p := l.Package(r)
-		if p == nil {
-			return nil, fmt.Errorf("loader: %s did not load", r)
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
-// checkAcyclic runs Kahn's algorithm over the blocker counts; any
-// residue is a cycle.
-func checkAcyclic(blockers map[string]int, dependents map[string][]string) error {
-	counts := make(map[string]int, len(blockers))
-	var queue []string
-	for p, n := range blockers {
-		counts[p] = n
-		if n == 0 {
-			queue = append(queue, p)
-		}
-	}
-	seen := 0
-	for len(queue) > 0 {
-		p := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		seen++
-		for _, d := range dependents[p] {
-			counts[d]--
-			if counts[d] == 0 {
-				queue = append(queue, d)
-			}
-		}
-	}
-	if seen != len(blockers) {
-		var stuck []string
-		for p, n := range counts {
-			if n > 0 {
-				stuck = append(stuck, p)
-			}
-		}
-		sort.Strings(stuck)
-		return fmt.Errorf("loader: import cycle among %s", strings.Join(stuck, ", "))
-	}
-	return nil
-}
-
-func runGoList(dir string, args []string) ([]listedPackage, error) {
-	cmd := exec.Command("go", append([]string{"list", "-json=ImportPath,Name,Dir,GoFiles,Imports,Standard"}, args...)...)
+func goList(dir string, args []string) ([]listedPackage, error) {
+	cmd := exec.Command("go", append([]string{"list", "-json=ImportPath,Dir,GoFiles,Standard,DepOnly,Export"}, args...)...)
 	cmd.Dir = dir
 	var out, stderr bytes.Buffer
 	cmd.Stdout = &out
@@ -466,16 +287,16 @@ func runGoList(dir string, args []string) ([]listedPackage, error) {
 	if err := cmd.Run(); err != nil {
 		return nil, fmt.Errorf("loader: go list: %v: %s", err, strings.TrimSpace(stderr.String()))
 	}
-	var metas []listedPackage
+	var listed []listedPackage
 	dec := json.NewDecoder(&out)
 	for dec.More() {
-		var m listedPackage
-		if err := dec.Decode(&m); err != nil {
+		var p listedPackage
+		if err := dec.Decode(&p); err != nil {
 			return nil, fmt.Errorf("loader: decoding go list output: %w", err)
 		}
-		metas = append(metas, m)
+		listed = append(listed, p)
 	}
-	return metas, nil
+	return listed, nil
 }
 
 // SrcDir returns a GOPATH-style resolver: import path p maps to

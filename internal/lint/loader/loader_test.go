@@ -3,13 +3,13 @@ package loader
 import (
 	"os"
 	"path/filepath"
-	"sync"
+	"strings"
 	"testing"
 )
 
 // The lint fixtures double as loader test inputs: they import each
 // other (latlonbounds → geo) and the standard library (sync, math,
-// time), covering all three resolution paths.
+// time), covering both resolution paths.
 const fixtureRoot = "../testdata/src"
 
 func TestLoadFixturePackage(t *testing.T) {
@@ -33,6 +33,9 @@ func TestLoadFixturePackage(t *testing.T) {
 		t.Fatal("second Load returned a different package instance")
 	}
 	// The geo dependency was loaded transitively and is memoized too.
+	if ld.Package("geo") == nil {
+		t.Fatal("geo was not loaded as a dependency")
+	}
 	dep, err := ld.Load("geo")
 	if err != nil {
 		t.Fatal(err)
@@ -49,119 +52,85 @@ func TestLoadUnresolvable(t *testing.T) {
 	}
 }
 
-// TestLoadConcurrent hammers one Loader from many goroutines asking
-// for overlapping packages: every request for a path must get the same
-// memoized instance, with the type-check happening once (the -race run
-// is the real assertion here).
-func TestLoadConcurrent(t *testing.T) {
-	ld := New(SrcDir(fixtureRoot))
-	paths := []string{"latlonbounds", "geo", "lockorder", "lockorder/other", "lockorder/core", "blockhold"}
-	got := make([]*Package, len(paths)*4)
-	var wg sync.WaitGroup
-	for i := range got {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			p, err := ld.Load(paths[i%len(paths)])
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			got[i] = p
-		}(i)
-	}
-	wg.Wait()
-	if t.Failed() {
-		t.FailNow()
-	}
-	for i, p := range got {
-		if first := got[i%len(paths)]; p != first {
-			t.Fatalf("Load(%s) returned distinct instances", paths[i%len(paths)])
+// TestLoadCycle pins that an import cycle is an error, not unbounded
+// recursion.
+func TestLoadCycle(t *testing.T) {
+	root := t.TempDir()
+	for name, src := range map[string]string{
+		"a/a.go": "package a\n\nimport _ \"b\"\n",
+		"b/b.go": "package b\n\nimport _ \"a\"\n",
+	} {
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-}
-
-// TestLoadAll drives the DAG scheduler over hand-built metadata for
-// the fixture tree: roots come back in request order, dependencies are
-// loaded, and a root missing from the metadata map is an error rather
-// than a hang.
-func TestLoadAll(t *testing.T) {
-	metas := map[string]PackageMeta{
-		"lockorder":       {ImportPath: "lockorder", Imports: []string{"lockorder/core"}},
-		"lockorder/other": {ImportPath: "lockorder/other", Imports: []string{"lockorder/core"}},
-		"lockorder/core":  {ImportPath: "lockorder/core"},
-		"latlonbounds":    {ImportPath: "latlonbounds", Imports: []string{"geo"}},
-		"geo":             {ImportPath: "geo"},
-	}
-	ld := New(SrcDir(fixtureRoot))
-	roots := []string{"lockorder/other", "lockorder", "latlonbounds"}
-	pkgs, err := ld.LoadAll(metas, roots, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkgs) != len(roots) {
-		t.Fatalf("LoadAll returned %d packages, want %d", len(pkgs), len(roots))
-	}
-	for i, p := range pkgs {
-		if p.Path != roots[i] {
-			t.Fatalf("pkgs[%d].Path = %s, want %s", i, p.Path, roots[i])
-		}
-	}
-	if ld.Package("lockorder/core") == nil || ld.Package("geo") == nil {
-		t.Fatal("dependencies missing after LoadAll")
-	}
-	if _, err := ld.LoadAll(metas, []string{"no/such"}, 2); err == nil {
-		t.Fatal("LoadAll with unknown root succeeded")
+	_, err := New(SrcDir(root)).Load("a")
+	if err == nil || !strings.Contains(err.Error(), "import cycle") {
+		t.Fatalf("Load over an import cycle: err = %v, want an import cycle error", err)
 	}
 }
 
-// TestLoadAllCycle pins that metadata cycles are rejected up front
-// instead of deadlocking the worker pool.
-func TestLoadAllCycle(t *testing.T) {
-	metas := map[string]PackageMeta{
-		"a": {ImportPath: "a", Imports: []string{"b"}},
-		"b": {ImportPath: "b", Imports: []string{"a"}},
-	}
-	ld := New(SrcDir(fixtureRoot))
-	if _, err := ld.LoadAll(metas, []string{"a"}, 2); err == nil {
-		t.Fatal("LoadAll over a cyclic DAG succeeded")
-	}
-}
-
-// TestGoListDeps checks the metadata contract on the real module:
-// module-local imports only, sorted, and the loader package itself
-// depends on nothing module-local.
+// TestGoListDeps checks the listing contract on the real module: the
+// roots are exactly the packages the patterns match, dependencies
+// appear in Packages only, and the standard library appears in
+// neither.
 func TestGoListDeps(t *testing.T) {
 	root, err := ModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	metas, _, roots, err := GoListDeps(root, "./internal/lint/...")
+	mod, err := GoListDeps(root, "./internal/lint")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(roots) == 0 {
-		t.Fatal("GoListDeps found no roots")
+	if len(mod.Roots) != 1 || mod.Roots[0] != "locwatch/internal/lint" {
+		t.Fatalf("roots = %v, want [locwatch/internal/lint]", mod.Roots)
 	}
-	lintMeta, ok := metas["locwatch/internal/lint"]
-	if !ok {
-		t.Fatal("no metadata for locwatch/internal/lint")
+	lintMeta, ok := mod.Packages["locwatch/internal/lint"]
+	if !ok || len(lintMeta.GoFiles) == 0 {
+		t.Fatalf("internal/lint metadata = %+v, want its Go files", lintMeta)
 	}
-	wantDep := "locwatch/internal/lint/summary"
-	found := false
-	for _, imp := range lintMeta.Imports {
-		if _, ok := metas[imp]; !ok {
-			t.Fatalf("import %s of internal/lint has no metadata entry", imp)
-		}
-		if imp == wantDep {
-			found = true
-		}
+	if _, ok := mod.Packages["locwatch/internal/lint/summary"]; !ok {
+		t.Fatal("dependency internal/lint/summary missing from Packages")
 	}
-	if !found {
-		t.Fatalf("internal/lint imports %v, want %s among them", lintMeta.Imports, wantDep)
+	if _, ok := mod.Packages["go/types"]; ok {
+		t.Fatal("standard package go/types listed among module packages")
 	}
-	if len(lintMeta.GoFiles) == 0 {
-		t.Fatal("internal/lint metadata lists no Go files")
+}
+
+// TestModuleLoad drives the module load path: roots come back in Roots
+// order, module-local dependencies are loaded from source, and the
+// standard library is imported from export data.
+func TestModuleLoad(t *testing.T) {
+	root, err := ModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := GoListDeps(root, "./internal/lint/cache", "./internal/lint/analysis")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ld, pkgs, err := mod.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 2 || pkgs[0].Path != mod.Roots[0] || pkgs[1].Path != mod.Roots[1] {
+		t.Fatalf("Load returned %d packages, want the roots %v in order", len(pkgs), mod.Roots)
+	}
+	dep := ld.Package("locwatch/internal/lint/loader")
+	if dep == nil {
+		t.Fatal("dependency internal/lint/loader missing after Load")
+	}
+	var stdTypes bool
+	for _, imp := range dep.Types.Imports() {
+		stdTypes = stdTypes || imp.Path() == "go/types" && imp.Scope().Lookup("Config") != nil
+	}
+	if !stdTypes {
+		t.Fatal("go/types was not imported with its Config type")
 	}
 }
 
@@ -172,8 +141,5 @@ func TestModuleRoot(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
 		t.Fatalf("module root %s has no go.mod: %v", root, err)
-	}
-	if _, _, err := GoList(root, "./internal/lint/..."); err != nil {
-		t.Fatalf("GoList on module root: %v", err)
 	}
 }

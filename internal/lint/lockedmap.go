@@ -36,7 +36,7 @@ func runLockedMap(pass *analysis.Pass) error {
 			if !ok {
 				return true
 			}
-			if lit, ok := analysis.Unparen(g.Call.Fun).(*ast.FuncLit); ok {
+			if lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit); ok {
 				checkGoClosure(pass, lit)
 			}
 			return true
@@ -56,7 +56,7 @@ func checkGoClosure(pass *analysis.Pass, lit *ast.FuncLit) {
 		case *ast.GoStmt:
 			// A nested go closure is analyzed on its own; skip it here
 			// so its writes are attributed to the innermost closure.
-			if _, ok := analysis.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
+			if _, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
 				return false
 			}
 		case *ast.AssignStmt:
@@ -67,9 +67,9 @@ func checkGoClosure(pass *analysis.Pass, lit *ast.FuncLit) {
 			checkWriteTarget(pass, lit, n.X, stack)
 		case *ast.CallExpr:
 			// delete(m, k) mutates the map like an assignment does.
-			if id, ok := analysis.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "delete" && len(n.Args) == 2 {
+			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "delete" && len(n.Args) == 2 {
 				if _, builtin := pass.TypesInfo.Uses[id].(*types.Builtin); builtin {
-					if mid, ok := analysis.Unparen(n.Args[0]).(*ast.Ident); ok &&
+					if mid, ok := ast.Unparen(n.Args[0]).(*ast.Ident); ok &&
 						capturedVar(pass.TypesInfo.Uses[mid], lit) && !lockHeld(pass.TypesInfo, lit, stack) {
 						pass.Reportf(n.Pos(),
 							"delete from captured map %q inside go closure without holding a mutex", mid.Name)
@@ -84,9 +84,9 @@ func checkGoClosure(pass *analysis.Pass, lit *ast.FuncLit) {
 // checkWriteTarget inspects one write destination inside the closure.
 func checkWriteTarget(pass *analysis.Pass, lit *ast.FuncLit, lhs ast.Expr, stack []ast.Node) {
 	info := pass.TypesInfo
-	switch lhs := analysis.Unparen(lhs).(type) {
+	switch lhs := ast.Unparen(lhs).(type) {
 	case *ast.IndexExpr:
-		base := analysis.Unparen(lhs.X)
+		base := ast.Unparen(lhs.X)
 		id, ok := base.(*ast.Ident)
 		if !ok {
 			return
@@ -140,7 +140,7 @@ func capturedVar(obj types.Object, lit *ast.FuncLit) bool {
 // `for i := range jobs` inside the goroutine, which yields disjoint
 // indices per worker.
 func indexDeclaredInside(info *types.Info, index ast.Expr, lit *ast.FuncLit) bool {
-	id, ok := analysis.Unparen(index).(*ast.Ident)
+	id, ok := ast.Unparen(index).(*ast.Ident)
 	if !ok {
 		return false
 	}
@@ -198,11 +198,11 @@ func mutexCallName(info *types.Info, st ast.Stmt) string {
 	if !ok {
 		return ""
 	}
-	call, ok := analysis.Unparen(es.X).(*ast.CallExpr)
+	call, ok := ast.Unparen(es.X).(*ast.CallExpr)
 	if !ok {
 		return ""
 	}
-	sel, ok := analysis.Unparen(call.Fun).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return ""
 	}

@@ -411,7 +411,7 @@ func (fl *nilFlow) scanDerefs(n ast.Node, state nilState) {
 			}
 		case *ast.UnaryExpr:
 			if m.Op == token.AND {
-				if id, ok := analysis.Unparen(m.X).(*ast.Ident); ok {
+				if id, ok := ast.Unparen(m.X).(*ast.Ident); ok {
 					if v := fl.tracked(id); v != nil {
 						delete(state.facts, v)
 						state.reassign(v)
@@ -419,9 +419,9 @@ func (fl *nilFlow) scanDerefs(n ast.Node, state nilState) {
 				}
 			}
 		case *ast.SelectorExpr:
-			fl.checkDeref(analysis.Unparen(m.X), state, "field or method selection")
+			fl.checkDeref(ast.Unparen(m.X), state, "field or method selection")
 		case *ast.StarExpr:
-			fl.checkDeref(analysis.Unparen(m.X), state, "pointer indirection")
+			fl.checkDeref(ast.Unparen(m.X), state, "pointer indirection")
 		}
 		return true
 	})
@@ -456,12 +456,12 @@ func (fl *nilFlow) applyAssign(n *ast.AssignStmt, state nilState) {
 	// the pointer and the error variable are correlated so a
 	// subsequent err check refines the pointer.
 	if len(n.Lhs) > 1 && len(n.Rhs) == 1 {
-		if call, ok := analysis.Unparen(n.Rhs[0]).(*ast.CallExpr); ok {
+		if call, ok := ast.Unparen(n.Rhs[0]).(*ast.CallExpr); ok {
 			cf := fl.calleeFacts(call)
 			var errVar *types.Var
 			var correlated []*types.Var
 			for i, lhs := range n.Lhs {
-				id, ok := analysis.Unparen(lhs).(*ast.Ident)
+				id, ok := ast.Unparen(lhs).(*ast.Ident)
 				if !ok || id.Name == "_" {
 					continue
 				}
@@ -488,7 +488,7 @@ func (fl *nilFlow) applyAssign(n *ast.AssignStmt, state nilState) {
 		// v, ok := m[k] / x.(*T) / <-ch: the pointer's provenance is a
 		// container or channel the analysis cannot see into — untrack.
 		for _, lhs := range n.Lhs {
-			if id, ok := analysis.Unparen(lhs).(*ast.Ident); ok && id.Name != "_" {
+			if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && id.Name != "_" {
 				state.reassign(fl.anyVar(id))
 				if v := fl.tracked(id); v != nil {
 					delete(state.facts, v)
@@ -498,7 +498,7 @@ func (fl *nilFlow) applyAssign(n *ast.AssignStmt, state nilState) {
 		return
 	}
 	for i, lhs := range n.Lhs {
-		id, ok := analysis.Unparen(lhs).(*ast.Ident)
+		id, ok := ast.Unparen(lhs).(*ast.Ident)
 		if !ok || id.Name == "_" {
 			continue
 		}
@@ -516,7 +516,7 @@ func (fl *nilFlow) applyAssign(n *ast.AssignStmt, state nilState) {
 // which returns nil taints the variable, everything else — external
 // calls included — is optimistically non-nil.
 func (fl *nilFlow) rhsFact(rhs ast.Expr, state nilState) nilFact {
-	switch e := analysis.Unparen(rhs).(type) {
+	switch e := ast.Unparen(rhs).(type) {
 	case *ast.Ident:
 		if e.Name == "nil" {
 			return mayNil
@@ -578,7 +578,7 @@ func (fl *nilFlow) applyDecl(n *ast.DeclStmt, state nilState) {
 // actually constrains them.
 func (fl *nilFlow) refine(cond ast.Expr, state nilState) (trueState, falseState nilState) {
 	trueState, falseState = state, state
-	switch e := analysis.Unparen(cond).(type) {
+	switch e := ast.Unparen(cond).(type) {
 	case *ast.UnaryExpr:
 		if e.Op == token.NOT {
 			t, f := fl.refine(e.X, state)
@@ -598,7 +598,7 @@ func (fl *nilFlow) refine(cond ast.Expr, state nilState) (trueState, falseState 
 			return state, f2
 		case token.EQL, token.NEQ:
 			var id *ast.Ident
-			x, y := analysis.Unparen(e.X), analysis.Unparen(e.Y)
+			x, y := ast.Unparen(e.X), ast.Unparen(e.Y)
 			switch {
 			case isNilExpr(y):
 				id, _ = x.(*ast.Ident)

@@ -7,7 +7,7 @@ import (
 	"locwatch/internal/lint/loader"
 )
 
-// TestRegistryComplete pins the 16-analyzer suite: the interprocedural
+// TestRegistryComplete pins the 15-analyzer suite: the interprocedural
 // tier (detreach, privtaint, spawnleak, the summary-driven nilfacade),
 // the concurrency tier (locksafe, chanowner, ctxflow) and the deadlock
 // tier (lockorder, blockhold) must be registered alongside the
@@ -15,10 +15,10 @@ import (
 // TestSuiteCleanOnRepo actually gate on them.
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
-		"angleunits", "blockhold", "chanowner", "ctxflow", "detclock",
-		"detreach", "durationseconds", "errflow", "exhaustenum",
-		"latlonbounds", "lockedmap", "lockorder", "locksafe", "nilfacade",
-		"privtaint", "spawnleak",
+		"angleunits", "blockhold", "chanowner", "ctxflow", "detreach",
+		"durationseconds", "errflow", "exhaustenum", "latlonbounds",
+		"lockedmap", "lockorder", "locksafe", "nilfacade", "privtaint",
+		"spawnleak",
 	}
 	all := lint.All()
 	if len(all) != len(want) {
@@ -27,21 +27,6 @@ func TestRegistryComplete(t *testing.T) {
 	for i, a := range all {
 		if a.Name != want[i] {
 			t.Errorf("lint.All()[%d] = %s, want %s (suite must stay sorted)", i, a.Name, want[i])
-		}
-	}
-	// The modular/global split must classify every registered analyzer;
-	// the deadlock and concurrency tiers are global by construction.
-	for _, a := range all {
-		switch a.Name {
-		case "lockorder", "blockhold", "locksafe", "chanowner", "ctxflow",
-			"detreach", "privtaint", "spawnleak", "nilfacade":
-			if lint.Modular(a) {
-				t.Errorf("%s consults whole-program state but is classified modular", a.Name)
-			}
-		default:
-			if !lint.Modular(a) {
-				t.Errorf("%s is package-local but classified global", a.Name)
-			}
 		}
 	}
 }
@@ -59,23 +44,18 @@ func TestSuiteCleanOnRepo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resolve, roots, err := loader.GoList(root, "./...")
+	mod, err := loader.GoListDeps(root, "./...")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(roots) < 10 {
-		t.Fatalf("go list ./... resolved only %d packages: %v", len(roots), roots)
+	if len(mod.Roots) < 10 {
+		t.Fatalf("go list ./... resolved only %d packages: %v", len(mod.Roots), mod.Roots)
 	}
-	ld := loader.New(resolve)
-	var pkgs []*loader.Package
-	for _, path := range roots {
-		pkg, err := ld.Load(path)
-		if err != nil {
-			t.Fatalf("loading %s: %v", path, err)
-		}
-		pkgs = append(pkgs, pkg)
+	ld, pkgs, err := mod.Load()
+	if err != nil {
+		t.Fatal(err)
 	}
-	findings, err := lint.Run(pkgs, lint.All())
+	findings, err := lint.BuildProgram(pkgs, ld.Package).Run(lint.All())
 	if err != nil {
 		t.Fatal(err)
 	}

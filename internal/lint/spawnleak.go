@@ -155,7 +155,7 @@ func spawnsFor(n *callgraph.Node, named *types.Named) bool {
 // literal's own body for `go func(){…}()`, the callee's summary for
 // `go named(…)`. known=false means the callee could not be resolved.
 func spawnTokens(info *types.Info, prog *Program, g *ast.GoStmt) (summary.Tokens, bool) {
-	if lit, ok := analysis.Unparen(g.Call.Fun).(*ast.FuncLit); ok {
+	if lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit); ok {
 		return summary.ScanTokens(info, lit.Body), true
 	}
 	if fn := analysis.CalleeFunc(info, g.Call); fn != nil {

@@ -35,6 +35,7 @@ import (
 	"go/token"
 	"go/types"
 
+	"locwatch/internal/lint/analysis"
 	"locwatch/internal/lint/callgraph"
 	"locwatch/internal/lint/cfg"
 )
@@ -505,7 +506,7 @@ func (e *concEval) prescan(root ast.Node, inGo bool) {
 			return false
 		case *ast.GoStmt:
 			e.goEscapes(m)
-			if lit, ok := unparenE(m.Call.Fun).(*ast.FuncLit); ok {
+			if lit, ok := ast.Unparen(m.Call.Fun).(*ast.FuncLit); ok {
 				e.guarded[lit.Body.Pos()] = false
 				e.prescan(lit.Body, true)
 				for _, arg := range m.Call.Args {
@@ -559,7 +560,7 @@ func (e *concEval) goEscapes(g *ast.GoStmt) {
 	for _, arg := range g.Call.Args {
 		mark(arg)
 	}
-	switch fun := unparenE(g.Call.Fun).(type) {
+	switch fun := ast.Unparen(g.Call.Fun).(type) {
 	case *ast.SelectorExpr:
 		mark(fun.X)
 	case *ast.FuncLit:
@@ -621,7 +622,7 @@ func (e *concEval) prescanSelect(sel *ast.SelectStmt, inGo bool) {
 }
 
 func (e *concEval) prescanCall(call *ast.CallExpr, inGo bool) {
-	if sel, ok := unparenE(call.Fun).(*ast.SelectorExpr); ok {
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		switch sel.Sel.Name {
 		case "Done", "Err", "Deadline":
 			if t := e.info.TypeOf(sel.X); IsContextType(t) {
@@ -657,11 +658,11 @@ func isSyncCond(t types.Type) bool {
 }
 
 func (e *concEval) isCtxDoneRecv(x ast.Expr) bool {
-	call, ok := unparenE(x).(*ast.CallExpr)
+	call, ok := ast.Unparen(x).(*ast.CallExpr)
 	if !ok {
 		return false
 	}
-	sel, ok := unparenE(call.Fun).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "Done" {
 		return false
 	}
@@ -808,7 +809,7 @@ func (e *concEval) applyNode(node ast.Node, st *lockState, rec bool) {
 			e.walkExpr(m.Chan, st, rec)
 		}
 	case *ast.GoStmt:
-		if lit, ok := unparenE(m.Call.Fun).(*ast.FuncLit); ok {
+		if lit, ok := ast.Unparen(m.Call.Fun).(*ast.FuncLit); ok {
 			e.enqueue(lit, true, m.Pos())
 			for _, arg := range m.Call.Args {
 				e.walkExpr(arg, st, rec)
@@ -860,11 +861,11 @@ func (e *concEval) applyNode(node ast.Node, st *lockState, rec bool) {
 // closes are ownership-relevant but do not enter the may-closed flow
 // (they run at return), deferred literals analyze as fresh contexts.
 func (e *concEval) deferOp(d *ast.DeferStmt, st *lockState, rec bool) {
-	if lit, ok := unparenE(d.Call.Fun).(*ast.FuncLit); ok {
+	if lit, ok := ast.Unparen(d.Call.Fun).(*ast.FuncLit); ok {
 		e.enqueue(lit, e.cur.inGo, e.cur.goPos)
 		return
 	}
-	if id, ok := unparenE(d.Call.Fun).(*ast.Ident); ok {
+	if id, ok := ast.Unparen(d.Call.Fun).(*ast.Ident); ok {
 		if _, isBuiltin := e.info.Uses[id].(*types.Builtin); isBuiltin && id.Name == "close" && len(d.Call.Args) == 1 {
 			if f := chanField(e.info, d.Call.Args[0]); f != nil && rec {
 				e.addChanOp(ChanOp{Field: f, Pos: d.Call.Pos(), Kind: ChanClose, Deferred: true, InGo: e.cur.inGo})
@@ -872,7 +873,7 @@ func (e *concEval) deferOp(d *ast.DeferStmt, st *lockState, rec bool) {
 			return
 		}
 	}
-	if sel, ok := unparenE(d.Call.Fun).(*ast.SelectorExpr); ok && isLockOpName(sel.Sel.Name) {
+	if sel, ok := ast.Unparen(d.Call.Fun).(*ast.SelectorExpr); ok && isLockOpName(sel.Sel.Name) {
 		if v := tokenVar(e.info, sel.X); v != nil && isMutex(v.Type()) {
 			return // deferred unlock: the lock stays held for the body
 		}
@@ -979,7 +980,7 @@ func (e *concEval) callOp(call *ast.CallExpr, st *lockState, rec bool, asGo bool
 	if rec {
 		e.markBlock(call.Pos(), st)
 	}
-	fun := unparenE(call.Fun)
+	fun := ast.Unparen(call.Fun)
 	if sel, ok := fun.(*ast.SelectorExpr); ok && isLockOpName(sel.Sel.Name) {
 		if v := tokenVar(e.info, sel.X); v != nil && isMutex(v.Type()) {
 			switch sel.Sel.Name {
@@ -1026,7 +1027,7 @@ func (e *concEval) callOp(call *ast.CallExpr, st *lockState, rec bool, asGo bool
 		}
 	}
 	// sync/atomic calls synchronize their operands: skip them entirely.
-	if fn := staticCallee(e.info, call); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" {
+	if fn := analysis.CalleeFunc(e.info, call); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" {
 		return
 	}
 	e.walkExpr(fun, st, rec)
@@ -1063,7 +1064,7 @@ func (e *concEval) recordCall(call *ast.CallExpr, st *lockState, asGo bool) {
 		owned, _ := e.classifyBase(expr)
 		return !owned
 	}
-	if sel, ok := unparenE(call.Fun).(*ast.SelectorExpr); ok {
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		cc.RecvRoot = rootIdx(sel.X)
 		if IsContextType(e.info.TypeOf(sel.X)) {
 			cc.PassesCtx = true

@@ -12,6 +12,7 @@ import (
 	"go/ast"
 	"go/types"
 
+	"locwatch/internal/lint/analysis"
 	"locwatch/internal/lint/callgraph"
 )
 
@@ -75,7 +76,7 @@ func (c *computer) resultFacts(n *callgraph.Node, f *Facts) bool {
 			}
 		case len(r.Results) == 1 && nres > 1:
 			// return f() forwarding a tuple: inherit the callee's facts.
-			call, ok := unparenE(r.Results[0]).(*ast.CallExpr)
+			call, ok := ast.Unparen(r.Results[0]).(*ast.CallExpr)
 			if !ok {
 				continue
 			}
@@ -130,7 +131,7 @@ func (c *computer) resultFacts(n *callgraph.Node, f *Facts) bool {
 // classification in the package comment.
 func (c *computer) exprMayNil(n *callgraph.Node, e ast.Expr) bool {
 	info := n.Pkg.TypesInfo
-	switch x := unparenE(e).(type) {
+	switch x := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		if isNilIdent(info, x) {
 			return true
@@ -156,15 +157,7 @@ func (c *computer) exprMayNil(n *callgraph.Node, e ast.Expr) bool {
 // callFacts resolves a call's static callee and returns its summary,
 // or nil for dynamic/external/builtin callees.
 func (c *computer) callFacts(n *callgraph.Node, call *ast.CallExpr) *Facts {
-	var obj types.Object
-	switch fun := unparenE(call.Fun).(type) {
-	case *ast.Ident:
-		obj = n.Pkg.TypesInfo.Uses[fun]
-	case *ast.SelectorExpr:
-		obj = n.Pkg.TypesInfo.Uses[fun.Sel]
-	}
-	fn, _ := obj.(*types.Func)
-	return c.set.Of(fn)
+	return c.set.Of(analysis.CalleeFunc(n.Pkg.TypesInfo, call))
 }
 
 // varMayNil classifies a local or named-result pointer variable by
@@ -217,7 +210,7 @@ func (c *computer) varMayNil(n *callgraph.Node, v *types.Var) bool {
 			}
 		case *ast.AssignStmt:
 			for i, lhs := range m.Lhs {
-				id, ok := unparenE(lhs).(*ast.Ident)
+				id, ok := ast.Unparen(lhs).(*ast.Ident)
 				if !ok {
 					continue
 				}
@@ -231,7 +224,7 @@ func (c *computer) varMayNil(n *callgraph.Node, v *types.Var) bool {
 						mayNil = true
 					}
 				case len(m.Rhs) == 1:
-					if call, ok := unparenE(m.Rhs[0]).(*ast.CallExpr); ok {
+					if call, ok := ast.Unparen(m.Rhs[0]).(*ast.CallExpr); ok {
 						if cf := c.callFacts(n, call); cf != nil && i < len(cf.ResultMayNil) && cf.ResultMayNil[i] {
 							mayNil = true
 						}
@@ -256,7 +249,7 @@ func (c *computer) varMayNil(n *callgraph.Node, v *types.Var) bool {
 }
 
 func isNilIdent(info *types.Info, e ast.Expr) bool {
-	id, ok := unparenE(e).(*ast.Ident)
+	id, ok := ast.Unparen(e).(*ast.Ident)
 	if !ok {
 		return false
 	}
@@ -267,14 +260,4 @@ func isNilIdent(info *types.Info, e ast.Expr) bool {
 func isErrorType(t types.Type) bool {
 	named, ok := t.(*types.Named)
 	return ok && named.Obj() != nil && named.Obj().Name() == "error" && named.Obj().Pkg() == nil
-}
-
-func unparenE(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }

@@ -30,6 +30,7 @@ import (
 	"go/types"
 	"strings"
 
+	"locwatch/internal/lint/analysis"
 	"locwatch/internal/lint/callgraph"
 )
 
@@ -295,7 +296,7 @@ func (e *locEval) assignPass() bool {
 		switch m := m.(type) {
 		case *ast.AssignStmt:
 			if len(m.Lhs) > 1 && len(m.Rhs) == 1 {
-				if call, ok := unparenExpr(m.Rhs[0]).(*ast.CallExpr); ok {
+				if call, ok := ast.Unparen(m.Rhs[0]).(*ast.CallExpr); ok {
 					for i, lhs := range m.Lhs {
 						taintLHS(lhs, e.callResultOrigins(call, i))
 					}
@@ -313,7 +314,7 @@ func (e *locEval) assignPass() bool {
 			}
 		case *ast.ValueSpec:
 			if len(m.Names) > 1 && len(m.Values) == 1 {
-				if call, ok := unparenExpr(m.Values[0]).(*ast.CallExpr); ok {
+				if call, ok := ast.Unparen(m.Values[0]).(*ast.CallExpr); ok {
 					for i, name := range m.Names {
 						if v, ok := e.info.Defs[name].(*types.Var); ok {
 							taintVar(v, e.callResultOrigins(call, i))
@@ -351,7 +352,7 @@ func (e *locEval) assignPass() bool {
 				taintVar(rootVar(e.info, w), o)
 			}
 			// copy(dst, src) is an assignment into dst.
-			if id, ok := unparenExpr(m.Fun).(*ast.Ident); ok && id.Name == "copy" &&
+			if id, ok := ast.Unparen(m.Fun).(*ast.Ident); ok && id.Name == "copy" &&
 				len(m.Args) == 2 && e.info.Types[m.Fun].IsBuiltin() {
 				taintLHS(m.Args[0], e.exprOrigins(m.Args[1]))
 			}
@@ -400,7 +401,7 @@ func (e *locEval) collectPass() {
 				return true
 			}
 			if len(m.Results) == 1 && len(e.out.ResultOrigins) > 1 {
-				if call, ok := unparenExpr(m.Results[0]).(*ast.CallExpr); ok {
+				if call, ok := ast.Unparen(m.Results[0]).(*ast.CallExpr); ok {
 					for j := range e.out.ResultOrigins {
 						e.out.ResultOrigins[j] |= e.callResultOrigins(call, j)
 					}
@@ -487,7 +488,7 @@ func addFlow(flows []SinkFlow, flow SinkFlow) []SinkFlow {
 // target when there is one, else every call-graph edge recorded at the
 // call site (CHA interface dispatch, address-taken func-value fan-out).
 func (e *locEval) calleeNodes(call *ast.CallExpr) []*callgraph.Node {
-	if fn := staticCallee(e.info, call); fn != nil {
+	if fn := analysis.CalleeFunc(e.info, call); fn != nil {
 		if sanitizerFunc(fn) {
 			return nil
 		}
@@ -521,7 +522,7 @@ func (e *locEval) argOriginsFor(call *ast.CallExpr, callee *callgraph.Node) ([]O
 	}
 	out := make([]Origins, nparams+offset)
 	if offset == 1 {
-		if sel, ok := unparenExpr(call.Fun).(*ast.SelectorExpr); ok {
+		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 			out[0] |= e.exprOrigins(sel.X)
 		}
 	}
@@ -551,7 +552,7 @@ func resolveSummary(resultOrigins Origins, argOrigins []Origins) Origins {
 
 // callResultOrigins computes the origins of result j of a call.
 func (e *locEval) callResultOrigins(call *ast.CallExpr, j int) Origins {
-	tv := e.info.Types[unparenExpr(call.Fun)]
+	tv := e.info.Types[ast.Unparen(call.Fun)]
 	if tv.IsType() { // conversion: string(b), geo.LatLon(v)
 		if len(call.Args) == 1 {
 			return e.exprOrigins(call.Args[0])
@@ -562,7 +563,7 @@ func (e *locEval) callResultOrigins(call *ast.CallExpr, j int) Origins {
 		return e.builtinOrigins(call)
 	}
 	var iface *types.Func
-	if fn := staticCallee(e.info, call); fn != nil {
+	if fn := analysis.CalleeFunc(e.info, call); fn != nil {
 		if sanitizerFunc(fn) {
 			return 0
 		}
@@ -615,7 +616,7 @@ func (e *locEval) externalResultOrigins(call *ast.CallExpr, fn *types.Func, j in
 
 func (e *locEval) unionArgs(call *ast.CallExpr) Origins {
 	var o Origins
-	if sel, ok := unparenExpr(call.Fun).(*ast.SelectorExpr); ok {
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		o |= e.exprOrigins(sel.X)
 	}
 	for _, a := range call.Args {
@@ -626,7 +627,7 @@ func (e *locEval) unionArgs(call *ast.CallExpr) Origins {
 
 func (e *locEval) builtinOrigins(call *ast.CallExpr) Origins {
 	name := ""
-	if id, ok := unparenExpr(call.Fun).(*ast.Ident); ok {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		name = id.Name
 	}
 	switch name {
@@ -764,7 +765,7 @@ func deref(t types.Type) types.Type {
 // analyzed packages. Returns the sink's display name and the argument
 // expressions whose taint escapes through it.
 func (e *locEval) externalSink(call *ast.CallExpr) (string, []ast.Expr, bool) {
-	fn := staticCallee(e.info, call)
+	fn := analysis.CalleeFunc(e.info, call)
 	if fn == nil || fn.Pkg() == nil {
 		// Interface methods lose their package only when unresolved;
 		// writer-shaped methods still count.
@@ -820,7 +821,7 @@ func (e *locEval) externalSink(call *ast.CallExpr) (string, []ast.Expr, bool) {
 // an in-memory builder as an escaping sink — files, sockets,
 // http.ResponseWriter, unknown io.Writers behind interfaces.
 func (e *locEval) writerSink(call *ast.CallExpr) (string, []ast.Expr, bool) {
-	sel, ok := unparenExpr(call.Fun).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return "", nil, false
 	}
@@ -866,7 +867,7 @@ func (e *locEval) isBuilder(t types.Type) bool {
 // the builder expression plus the written arguments, so assignPass can
 // taint the builder variable.
 func (e *locEval) builderWrite(call *ast.CallExpr) (ast.Expr, []ast.Expr) {
-	if sel, ok := unparenExpr(call.Fun).(*ast.SelectorExpr); ok {
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		switch sel.Sel.Name {
 		case "Write", "WriteString", "WriteByte", "WriteRune":
 			if e.isBuilder(e.info.TypeOf(sel.X)) {
@@ -875,7 +876,7 @@ func (e *locEval) builderWrite(call *ast.CallExpr) (ast.Expr, []ast.Expr) {
 		}
 	}
 	// fmt.Fprint*(builder, …) and io.WriteString(builder, …).
-	fn := staticCallee(e.info, call)
+	fn := analysis.CalleeFunc(e.info, call)
 	if fn == nil || fn.Pkg() == nil || len(call.Args) == 0 {
 		return nil, nil
 	}
@@ -891,34 +892,10 @@ func (e *locEval) builderWrite(call *ast.CallExpr) (ast.Expr, []ast.Expr) {
 
 // unaddr peels an address-of so Fprintf(&b, …) taints b itself.
 func unaddr(x ast.Expr) ast.Expr {
-	if u, ok := unparenExpr(x).(*ast.UnaryExpr); ok && u.Op == token.AND {
+	if u, ok := ast.Unparen(x).(*ast.UnaryExpr); ok && u.Op == token.AND {
 		return u.X
 	}
 	return x
-}
-
-// staticCallee resolves a call to its named function or method, nil
-// for calls through function values.
-func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
-	var obj types.Object
-	switch fun := unparenExpr(call.Fun).(type) {
-	case *ast.Ident:
-		obj = info.Uses[fun]
-	case *ast.SelectorExpr:
-		obj = info.Uses[fun.Sel]
-	}
-	fn, _ := obj.(*types.Func)
-	return fn
-}
-
-func unparenExpr(x ast.Expr) ast.Expr {
-	for {
-		p, ok := x.(*ast.ParenExpr)
-		if !ok {
-			return x
-		}
-		x = p.X
-	}
 }
 
 // mergeLocFacts unions fresh into dst, reporting growth.

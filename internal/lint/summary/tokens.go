@@ -19,7 +19,7 @@ func ScanTokens(info *types.Info, root ast.Node) Tokens {
 	ast.Inspect(root, func(m ast.Node) bool {
 		switch m := m.(type) {
 		case *ast.CallExpr:
-			switch fun := unparenE(m.Fun).(type) {
+			switch fun := ast.Unparen(m.Fun).(type) {
 			case *ast.SelectorExpr:
 				v := tokenVar(info, fun.X)
 				if v == nil || !isWaitGroup(v.Type()) {
@@ -59,7 +59,7 @@ func ScanTokens(info *types.Info, root ast.Node) Tokens {
 // (p.wg → the wg field). Anything else — map elements, function
 // results — has no stable identity and yields nil.
 func tokenVar(info *types.Info, e ast.Expr) *types.Var {
-	switch x := unparenE(e).(type) {
+	switch x := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		if v, ok := info.Uses[x].(*types.Var); ok {
 			return v
