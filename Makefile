@@ -1,9 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
-BENCHTIME ?= 1x
-BENCHOUT ?= BENCH_10.json
 
-.PHONY: all build test check fmt vet lint race fuzz vuln bench cover
+.PHONY: all build test check fmt vet lint race fuzz vuln cover
 
 all: build
 
@@ -50,17 +48,6 @@ race:
 cover:
 	$(GO) test -cover -covermode=atomic -coverprofile=coverage.out ./... | tee coverage-summary.txt
 	$(GO) tool cover -func=coverage.out | tail -n 1
-
-# Reproducible benchmark run: replays the root figure/ablation suite on
-# a shared Quick-config Lab plus the call-graph/summary construction
-# benchmarks, and refreshes the "after" column of the checked-in
-# trajectory artifact, keeping its "before" baseline. Raise BENCHTIME
-# (e.g. 5x) for lower-noise numbers; see DESIGN.md §7 for how to read
-# BENCH_*.json.
-bench:
-	$(GO) run ./scripts/benchjson -benchtime $(BENCHTIME) -keep-before \
-		-pkgs .,./internal/lint,./internal/lint/callgraph,./internal/lint/summary,./internal/stream \
-		-out $(BENCHOUT)
 
 # Ten-second fuzz passes over the three untrusted-input parsers:
 # market page scraping, dumpsys battery output, and PLT trace files.

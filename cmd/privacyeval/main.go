@@ -53,7 +53,7 @@ func main() {
 	users := flag.Int("users", 0, "override population size")
 	days := flag.Int("days", 0, "override simulated days")
 	seed := flag.Int64("seed", 0, "override world seed")
-	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "concurrent per-user tasks (0 = GOMAXPROCS)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars and pprof on this address")

@@ -70,8 +70,6 @@ func main() {
 	}
 
 	appStream := trace.NewSampler(locwatch.NewSliceSource(history.Points), spec.Behavior.Interval, 0)
-	fed := 0
-	lastVisits := 0
 	alerted := false
 	var alertAt time.Time
 	for {
@@ -82,11 +80,9 @@ func main() {
 		if err := guard.Feed(p); err != nil {
 			log.Fatal(err)
 		}
-		fed++
-		if v := guard.Observed(locwatch.PatternMovement).NumVisits(); v == lastVisits && fed%500 != 0 {
+		if !guard.Due() {
 			continue
 		}
-		lastVisits = guard.Observed(locwatch.PatternMovement).NumVisits()
 		combined, region, movement, err := guard.Check()
 		if err != nil {
 			log.Fatal(err)
@@ -99,7 +95,7 @@ func main() {
 			if region.Breached && movement.Breached {
 				which = "both patterns"
 			}
-			fmt.Printf("\nALERT after %d fixes (%s of collection):\n", fed, p.T.Sub(history.Points[0].T).Round(time.Hour))
+			fmt.Printf("\nALERT after %d fixes (%s of collection):\n", combined.PointsFed, p.T.Sub(history.Points[0].T).Round(time.Hour))
 			fmt.Printf("  %s would reveal your activity profile to %q\n", which, spec.Package)
 			alerted = true
 			alertAt = p.T

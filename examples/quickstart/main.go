@@ -6,9 +6,7 @@
 package main
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"log"
 	"time"
 
@@ -62,34 +60,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	lastVisits := 0
-	for {
-		p, err := collected.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := detector.Feed(p); err != nil {
-			log.Fatal(err)
-		}
-		if v := detector.Observed().NumVisits(); v == lastVisits {
-			continue
-		}
-		lastVisits = detector.Observed().NumVisits()
-		det, err := detector.Check()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if det.Breached {
-			fmt.Printf("\nBREACH: after %d collected fixes (%d observed visits),\n"+
-				"the app's data matches the user's movement profile "+
-				"(chi²=%.2f, df=%d, p=%.3f).\n",
-				det.PointsFed, det.VisitsSeen,
-				det.Result.Statistic, det.Result.DF, det.Result.PValue)
-			return
-		}
+	det, err := detector.FirstBreach(collected)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if det.Breached {
+		fmt.Printf("\nBREACH: after %d collected fixes (%d observed visits),\n"+
+			"the app's data matches the user's movement profile "+
+			"(chi²=%.2f, df=%d, p=%.3f).\n",
+			det.PointsFed, det.VisitsSeen,
+			det.Result.Statistic, det.Result.DF, det.Result.PValue)
+		return
 	}
 	fmt.Println("\nno breach detected — the collection stayed below the profile threshold")
 }

@@ -112,12 +112,10 @@ func TestDetectorObservedAccumulates(t *testing.T) {
 	}
 }
 
-func TestMovementPatternBreachesFasterOnRoutineUser(t *testing.T) {
-	// The paper's headline: for users with strong movement habits,
-	// pattern 2 needs a smaller fraction of the data than pattern 1.
-	// Build a user whose movement ORDER is highly regular but whose
-	// visit-duration mix (and hence region visit counts over time) is
-	// more varied: extra region visits late in the trace.
+// routineTrace is a user whose movement ORDER is highly regular but
+// whose visit-duration mix (and hence region visit counts over time)
+// is more varied: extra region visits late in the trace.
+func routineTrace() []trace.Point {
 	home, work, gym, mall := anchor, at(60, 4000), at(150, 2500), at(250, 3500)
 	b := newBuilder(home, 17)
 	for d := 0; d < 12; d++ {
@@ -132,7 +130,14 @@ func TestMovementPatternBreachesFasterOnRoutineUser(t *testing.T) {
 		}
 		b.now = b.now.Add(9 * time.Hour)
 	}
-	ref := mustProfile(t, b.pts)
+	return b.pts
+}
+
+func TestMovementPatternBreachesFasterOnRoutineUser(t *testing.T) {
+	// The paper's headline: for users with strong movement habits,
+	// pattern 2 needs a smaller fraction of the data than pattern 1.
+	pts := routineTrace()
+	ref := mustProfile(t, pts)
 
 	frac := map[Pattern]float64{}
 	for _, pattern := range []Pattern{PatternRegion, PatternMovement} {
@@ -140,14 +145,14 @@ func TestMovementPatternBreachesFasterOnRoutineUser(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		det, err := d.FirstBreach(trace.NewSliceSource(b.pts))
+		det, err := d.FirstBreach(trace.NewSliceSource(pts))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !det.Breached {
 			t.Fatalf("%v: no breach at all", pattern)
 		}
-		frac[pattern] = float64(det.PointsFed) / float64(len(b.pts))
+		frac[pattern] = float64(det.PointsFed) / float64(len(pts))
 	}
 	if frac[PatternMovement] > frac[PatternRegion] {
 		t.Fatalf("pattern 2 (%.3f of data) slower than pattern 1 (%.3f)",
@@ -164,22 +169,19 @@ func TestCombinedDetectorFiresOnEither(t *testing.T) {
 	}
 	var firstBreach Detection
 	breached := false
-	lastVisits := 0
-	sinceCheck := 0
 	for _, p := range pts {
 		if err := cd.Feed(p); err != nil {
 			t.Fatal(err)
 		}
-		sinceCheck++
-		newVisit := cd.movement.Observed().NumVisits() != lastVisits
-		if !newVisit && sinceCheck < 500 {
+		if !cd.Due() {
 			continue
 		}
-		lastVisits = cd.movement.Observed().NumVisits()
-		sinceCheck = 0
 		combined, region, movement, err := cd.Check()
 		if err != nil {
 			t.Fatal(err)
+		}
+		if cd.Due() {
+			t.Fatal("Check did not restart the cadence")
 		}
 		if combined.Breached != (region.Breached || movement.Breached) {
 			t.Fatal("combined flag is not the OR of the patterns")
@@ -206,6 +208,50 @@ func TestCombinedDetectorFiresOnEither(t *testing.T) {
 		if det.Breached && det.PointsFed < firstBreach.PointsFed {
 			t.Fatalf("combined fired at %d points but %v alone fired at %d",
 				firstBreach.PointsFed, pattern, det.PointsFed)
+		}
+	}
+}
+
+// TestCombinedFirstBreachesMatchesDetectors pins FirstBreaches to its
+// definition: per pattern, the Detection an independent Detector's
+// FirstBreach returns on the same stream. The fixtures cover pattern 1
+// breaching first (the user's own trace), neither breaching (a
+// stranger) and pattern 2 breaching first (the routine user).
+func TestCombinedFirstBreachesMatchesDetectors(t *testing.T) {
+	own := commuteTrace(11, 10, anchor, at(60, 4000), at(150, 2500))
+	routine := routineTrace()
+	cases := []struct {
+		name      string
+		reference []trace.Point
+		stream    []trace.Point
+	}{
+		{"own trace", own, own},
+		{"stranger", commuteTrace(12, 8, anchor, at(60, 4000), at(150, 2500)),
+			commuteTrace(13, 8, at(270, 6000), at(300, 9000), at(330, 7000))},
+		{"routine user", routine, routine},
+	}
+	for _, tc := range cases {
+		ref := mustProfile(t, tc.reference)
+		cd, err := NewCombinedDetector(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		region, movement, err := cd.FirstBreaches(trace.NewSliceSource(tc.stream))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pattern, got := range map[Pattern]Detection{PatternRegion: region, PatternMovement: movement} {
+			d, err := NewDetector(ref, pattern)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := d.FirstBreach(trace.NewSliceSource(tc.stream))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("%s, %v: FirstBreaches = %+v, FirstBreach = %+v", tc.name, pattern, got, want)
+			}
 		}
 	}
 }

@@ -95,16 +95,61 @@ func (r *AblationExtractorResult) Render() string {
 // metrics, aggregated over all users at native collection rate.
 type AblationMitigationRow struct {
 	Name string
+	Exposure
+}
 
+// Exposure is what an observer's profiles reveal, summed over users:
+// ground-truth places and sensitive places discovered, and users whose
+// observed stream still matches their own profile under either pattern
+// (the combined detector).
+type Exposure struct {
 	PoIsDiscovered int
 	PoIsTotal      int
 
 	SensitiveDiscovered int
 	SensitiveTotal      int
 
-	// Breaches counts users whose mitigated stream still matches their
-	// own profile under either pattern (the combined detector).
 	Breaches int
+}
+
+// exposure builds each user's observed profile from the stream observe
+// returns, scores it against the user's ground-truth profile, and sums
+// the scores in user-id order.
+func (l *Lab) exposure(ground []*core.Profile, observe func(id int) (trace.Source, error)) (Exposure, error) {
+	perUser := make([]Exposure, l.world.NumUsers())
+	err := l.forEachUser(func(id int) error {
+		src, err := observe(id)
+		if err != nil {
+			return err
+		}
+		obs, err := core.BuildProfile(src, l.cfg.Mobility.CityCenter, l.cfg.Core)
+		if err != nil {
+			return err
+		}
+		e := &perUser[id]
+		e.PoIsTotal, e.PoIsDiscovered = ground[id].Coverage(obs)
+		e.SensitiveTotal, e.SensitiveDiscovered = ground[id].SensitiveCoverage(obs, l.cfg.SensitiveMaxVisits)
+		for _, pattern := range patterns {
+			bin, err := ground[id].HisBin(obs, pattern)
+			if err != nil {
+				return err
+			}
+			if bin == 1 {
+				e.Breaches = 1
+				break
+			}
+		}
+		return nil
+	})
+	var sum Exposure
+	for _, e := range perUser {
+		sum.PoIsDiscovered += e.PoIsDiscovered
+		sum.PoIsTotal += e.PoIsTotal
+		sum.SensitiveDiscovered += e.SensitiveDiscovered
+		sum.SensitiveTotal += e.SensitiveTotal
+		sum.Breaches += e.Breaches
+	}
+	return sum, err
 }
 
 // AblationMitigationResult evaluates the defense suite.
@@ -166,48 +211,17 @@ func AblationMitigation(l *Lab) (*AblationMitigationResult, error) {
 	}
 
 	res := &AblationMitigationResult{}
-	type exposure struct{ total, disc, sTotal, sDisc, breach int }
-	perUser := make([]exposure, l.world.NumUsers())
 	for _, d := range defenses {
 		row := AblationMitigationRow{Name: d.name}
-		err := l.forEachUser(func(id int) error {
+		row.Exposure, err = l.exposure(ground, func(id int) (trace.Source, error) {
 			src, err := l.world.Trace(id, 0)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			src, err = d.wrap(id, src)
-			if err != nil {
-				return err
-			}
-			obs, err := core.BuildProfile(src, anchor, l.cfg.Core)
-			if err != nil {
-				return err
-			}
-			total, disc := ground[id].Coverage(obs)
-			sTotal, sDisc := ground[id].SensitiveCoverage(obs, l.cfg.SensitiveMaxVisits)
-			breach := 0
-			for _, pattern := range patterns {
-				bin, err := ground[id].HisBin(obs, pattern)
-				if err != nil {
-					return err
-				}
-				if bin == 1 {
-					breach = 1
-					break
-				}
-			}
-			perUser[id] = exposure{total: total, disc: disc, sTotal: sTotal, sDisc: sDisc, breach: breach}
-			return nil
+			return d.wrap(id, src)
 		})
 		if err != nil {
 			return nil, err
-		}
-		for _, e := range perUser {
-			row.PoIsTotal += e.total
-			row.PoIsDiscovered += e.disc
-			row.SensitiveTotal += e.sTotal
-			row.SensitiveDiscovered += e.sDisc
-			row.Breaches += e.breach
 		}
 		res.Rows = append(res.Rows, row)
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"locwatch/internal/anonymize"
-	"locwatch/internal/core"
 	"locwatch/internal/trace"
 )
 
@@ -16,14 +15,7 @@ const cloakGrid = 2 * time.Minute
 // CloakingRow is one k of the k-anonymity cloaking ablation.
 type CloakingRow struct {
 	K int
-
-	PoIsDiscovered int
-	PoIsTotal      int
-
-	SensitiveDiscovered int
-	SensitiveTotal      int
-
-	Breaches int
+	Exposure
 
 	// MeanAreaKm2 is the mean released-cell area (the utility cost).
 	MeanAreaKm2 float64
@@ -99,38 +91,11 @@ func AblationCloaking(l *Lab) (*CloakingResult, error) {
 		if total := releases + suppressed; total > 0 {
 			row.SuppressedFrac = float64(suppressed) / float64(total)
 		}
-		type exposure struct{ total, disc, sTotal, sDisc, breach int }
-		perUser := make([]exposure, n)
-		err = l.forEachUser(func(id int) error {
-			obs, err := core.BuildProfile(trace.NewSliceSource(released[id]), l.cfg.Mobility.CityCenter, l.cfg.Core)
-			if err != nil {
-				return err
-			}
-			total, disc := ground[id].Coverage(obs)
-			sTotal, sDisc := ground[id].SensitiveCoverage(obs, l.cfg.SensitiveMaxVisits)
-			breach := 0
-			for _, pattern := range patterns {
-				bin, err := ground[id].HisBin(obs, pattern)
-				if err != nil {
-					return err
-				}
-				if bin == 1 {
-					breach = 1
-					break
-				}
-			}
-			perUser[id] = exposure{total: total, disc: disc, sTotal: sTotal, sDisc: sDisc, breach: breach}
-			return nil
+		row.Exposure, err = l.exposure(ground, func(id int) (trace.Source, error) {
+			return trace.NewSliceSource(released[id]), nil
 		})
 		if err != nil {
 			return nil, err
-		}
-		for _, e := range perUser {
-			row.PoIsTotal += e.total
-			row.PoIsDiscovered += e.disc
-			row.SensitiveTotal += e.sTotal
-			row.SensitiveDiscovered += e.sDisc
-			row.Breaches += e.breach
 		}
 		res.Rows = append(res.Rows, row)
 	}

@@ -62,10 +62,10 @@ func Combined(l *Lab) (*CombinedResult, error) {
 			if err != nil {
 				return err
 			}
-			var firstP1, firstP2, firstC int
-			lastVisits, sinceCheck := 0, 0
-			fed := 0
-			for {
+			// Only checks on the cadence count: unlike FirstBreach, there
+			// is no last check at the end of the stream.
+			var f firstFires
+			for f.p1 == 0 || f.p2 == 0 {
 				pt, err := src.Next()
 				if errors.Is(err, io.EOF) {
 					break
@@ -76,32 +76,24 @@ func Combined(l *Lab) (*CombinedResult, error) {
 				if err := cd.Feed(pt); err != nil {
 					return err
 				}
-				fed++
-				sinceCheck++
-				visits := cd.Observed(core.PatternMovement).NumVisits()
-				if visits == lastVisits && sinceCheck < 500 {
+				if !cd.Due() {
 					continue
 				}
-				lastVisits = visits
-				sinceCheck = 0
 				combined, p1, p2, err := cd.Check()
 				if err != nil {
 					return err
 				}
-				if p1.Breached && firstP1 == 0 {
-					firstP1 = fed
+				if p1.Breached && f.p1 == 0 {
+					f.p1 = p1.PointsFed
 				}
-				if p2.Breached && firstP2 == 0 {
-					firstP2 = fed
+				if p2.Breached && f.p2 == 0 {
+					f.p2 = p2.PointsFed
 				}
-				if combined.Breached && firstC == 0 {
-					firstC = fed
-				}
-				if firstP1 > 0 && firstP2 > 0 {
-					break // nothing further can change first-fire points
+				if combined.Breached && f.c == 0 {
+					f.c = combined.PointsFed
 				}
 			}
-			firsts[id] = firstFires{p1: firstP1, p2: firstP2, c: firstC}
+			firsts[id] = f
 			return nil
 		})
 		if err != nil {

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"strings"
 	"time"
@@ -143,148 +141,64 @@ func Figure4(l *Lab) (*Figure4Result, error) {
 // configuration (the 4(b) phases are seeded from the world seed), so a
 // driver rerun on the same lab replays nothing.
 func (l *Lab) detectAll(profiles []*core.Profile, interval time.Duration, phases []time.Duration) ([]DetectionOutcome, error) {
-	key := detectKey{interval: interval, phased: phases != nil}
-	l.mu.Lock()
-	if out, ok := l.detections[key]; ok {
-		l.mu.Unlock()
-		l.obsm.detectHits.Inc()
-		return out, nil
-	}
-	l.mu.Unlock()
-	l.obsm.detectMisses.Inc()
-	sp := l.obsm.root.Child("detect_all")
-	sp.SetAttr("interval", intervalLabel(interval))
-	sp.SetAttr("phased", fmt.Sprint(phases != nil))
-	defer sp.End()
+	return l.detections.get(detectKey{interval: interval, phased: phases != nil}, func() ([]DetectionOutcome, error) {
+		sp := l.root.Child("detect_all")
+		sp.SetAttr("interval", intervalLabel(interval))
+		sp.SetAttr("phased", fmt.Sprint(phases != nil))
+		defer sp.End()
 
-	totals, err := l.pointTotals(interval)
-	if err != nil {
-		return nil, err
-	}
-	// Index-ordered reduction: every worker writes its user's slots, so
-	// the outcome order is user-major regardless of worker count or
-	// completion order — a determinism invariant the Workers=1-vs-N
-	// test pins (DESIGN.md §7).
-	out := make([]DetectionOutcome, l.world.NumUsers()*len(patterns))
-	err = l.forEachUser(func(id int) error {
-		denom := totals[id]
-		if phases != nil {
-			// The collectable stream starts mid-trace; its size is the
-			// right denominator for "fraction of data consumed". The
-			// sampler filters on timestamps alone, so the cheap
-			// timestamps-only stream yields the exact count.
-			src, err := l.world.TraceTimes(id, interval)
-			if err != nil {
-				return err
-			}
-			denom, err = trace.Count(trace.NewSampler(src, 0, phases[id]))
-			if err != nil {
-				return err
-			}
-		}
-		src, err := l.world.Trace(id, interval)
+		totals, err := l.pointTotals(interval)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if phases != nil {
-			src = trace.NewSampler(src, 0, phases[id])
-		}
-		dets, err := firstBreaches(profiles[id], src)
-		if err != nil {
-			return err
-		}
-		for i, pattern := range patterns {
-			o := DetectionOutcome{User: id, Pattern: pattern, Fraction: 1}
-			if dets[i].Breached && denom > 0 {
-				o.Detected = true
-				o.Fraction = float64(dets[i].PointsFed) / float64(denom)
-				if o.Fraction > 1 {
-					o.Fraction = 1
+		// Index-ordered reduction: every worker writes its user's slots, so
+		// the outcome order is user-major regardless of worker count or
+		// completion order — a determinism invariant the Workers=1-vs-N
+		// test pins (DESIGN.md §7).
+		out := make([]DetectionOutcome, l.world.NumUsers()*len(patterns))
+		err = l.forEachUser(func(id int) error {
+			denom := totals[id]
+			if phases != nil {
+				// The collectable stream starts mid-trace; its size is the
+				// right denominator for "fraction of data consumed". The
+				// sampler filters on timestamps alone, so the cheap
+				// timestamps-only stream yields the exact count.
+				src, err := l.world.TraceTimes(id, interval)
+				if err != nil {
+					return err
+				}
+				denom, err = trace.Count(trace.NewSampler(src, 0, phases[id]))
+				if err != nil {
+					return err
 				}
 			}
-			out[id*len(patterns)+i] = o
-		}
-		return nil
+			src, err := l.world.Trace(id, interval)
+			if err != nil {
+				return err
+			}
+			if phases != nil {
+				src = trace.NewSampler(src, 0, phases[id])
+			}
+			cd, err := core.NewCombinedDetector(profiles[id])
+			if err != nil {
+				return err
+			}
+			region, movement, err := cd.FirstBreaches(src)
+			if err != nil {
+				return err
+			}
+			for i, det := range [...]core.Detection{region, movement} {
+				o := DetectionOutcome{User: id, Pattern: patterns[i], Fraction: 1}
+				if det.Breached && denom > 0 {
+					o.Detected = true
+					o.Fraction = min(float64(det.PointsFed)/float64(denom), 1)
+				}
+				out[id*len(patterns)+i] = o
+			}
+			return nil
+		})
+		return out, err
 	})
-	if err != nil {
-		return nil, err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if prev, ok := l.detections[key]; ok {
-		return prev, nil
-	}
-	l.detections[key] = out
-	return out, nil
-}
-
-// firstBreaches runs one detector per pattern over a single replay of
-// src, equivalent to independent FirstBreach runs per pattern (each
-// detector sees the same points in the same order and keeps its own
-// check cadence) while generating the trace once instead of once per
-// pattern.
-func firstBreaches(profile *core.Profile, src trace.Source) ([]core.Detection, error) {
-	type state struct {
-		det        *core.Detector
-		lastVisits int
-		sinceCheck int
-		done       bool
-		result     core.Detection
-	}
-	states := make([]*state, len(patterns))
-	for i, pattern := range patterns {
-		det, err := core.NewDetector(profile, pattern)
-		if err != nil {
-			return nil, err
-		}
-		states[i] = &state{det: det}
-	}
-	remaining := len(states)
-	for remaining > 0 {
-		pt, err := src.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range states {
-			if s.done {
-				continue
-			}
-			if err := s.det.Feed(pt); err != nil {
-				return nil, err
-			}
-			s.sinceCheck++
-			visits := s.det.Observed().NumVisits()
-			if visits == s.lastVisits && s.sinceCheck < core.CheckStridePoints {
-				continue
-			}
-			s.lastVisits = visits
-			s.sinceCheck = 0
-			d, err := s.det.Check()
-			if err != nil {
-				return nil, err
-			}
-			if d.Breached {
-				s.result = d
-				s.done = true
-				remaining--
-			}
-		}
-	}
-	out := make([]core.Detection, len(states))
-	for i, s := range states {
-		if !s.done {
-			d, err := s.det.Check()
-			if err != nil {
-				return nil, err
-			}
-			s.result = d
-		}
-		out[i] = s.result
-	}
-	return out, nil
 }
 
 // Render prints the Figure 4 panels.

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -149,6 +151,40 @@ func TestCollectedAtCachesPerInterval(t *testing.T) {
 		if full[i].NumPoints() > 0 && c1[i].NumPoints() >= full[i].NumPoints() {
 			t.Fatalf("user %d: collected %d of %d points", i, c1[i].NumPoints(), full[i].NumPoints())
 		}
+	}
+}
+
+// TestCachedConcurrentGet checks the memo's contract under concurrent
+// first calls: every caller gets the one stored value, and a failed
+// build stores nothing.
+func TestCachedConcurrentGet(t *testing.T) {
+	c := newCached[int, *int](nil, "test")
+	got := make([]*int, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v, err := c.get(1, func() (*int, error) { return new(int), nil })
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = v
+		}()
+	}
+	wg.Wait()
+	for i, v := range got {
+		if v == nil || v != got[0] {
+			t.Fatalf("caller %d got %p, caller 0 got %p", i, v, got[0])
+		}
+	}
+
+	fail := errors.New("build failed")
+	if _, err := c.get(2, func() (*int, error) { return nil, fail }); !errors.Is(err, fail) {
+		t.Fatalf("failed build returned %v", err)
+	}
+	if v, err := c.get(2, func() (*int, error) { return new(int), nil }); err != nil || v == nil {
+		t.Fatalf("rebuild after a failure = %v, %v", v, err)
 	}
 }
 

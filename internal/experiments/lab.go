@@ -5,8 +5,8 @@
 //
 // Heavy inputs (the simulated world, per-user ground-truth profiles,
 // the adversary's historical profiles) are built once per Lab and
-// shared across experiments; per-user work is fanned out over a
-// bounded worker pool.
+// shared across experiments; per-user work is fanned out over at most
+// Config.Workers goroutines.
 package experiments
 
 import (
@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"locwatch/internal/core"
@@ -49,9 +50,9 @@ type Config struct {
 	Workers int
 
 	// Obs, when non-nil, receives the lab's metrics and spans: cache
-	// hit/miss counters, worker-pool queue depth and task latency, and
-	// per-stage spans, plus the mobility/core/poi counters of every
-	// layer the lab drives. Nil disables all instrumentation at the
+	// hit/miss counters, per-user task latency and per-stage spans,
+	// plus the mobility/core/poi counters of every layer the lab
+	// drives. Nil disables all instrumentation at the
 	// cost of one nil check per site. Instrumentation is observe-only:
 	// enabling it never changes any experiment output (DESIGN.md §8).
 	Obs *obs.Registry
@@ -109,20 +110,17 @@ func (c Config) validate() error {
 type Lab struct {
 	cfg   Config
 	world *mobility.World
-	pool  *workerPool
-	obsm  labMetrics
 
-	mu         sync.Mutex
-	profiles   map[time.Duration][]*core.Profile // full-period profiles per access interval
-	hist       []*core.Profile                   // training-window profiles for the adversary
-	collected  map[time.Duration][]*core.Profile // post-split collected profiles per interval
-	totals     map[time.Duration][]int
-	detections map[detectKey][]DetectionOutcome
+	// Observe-only instruments (nil when disabled, DESIGN.md §8).
+	taskSeconds *obs.Histogram // per-user task latency of forEachUser
+	root        *obs.Span      // parent of the per-stage spans
+
+	profiles   [len(windowCaches)]*cached[time.Duration, []*core.Profile] // per window, keyed by access interval
+	totals     *cached[time.Duration, []int]
+	detections *cached[detectKey, []DetectionOutcome]
 }
 
-// NewLab builds the simulated world (cheap; traces are generated
-// lazily) and starts the lab's worker pool. Call Close when done; a
-// finalizer covers labs that are dropped without closing.
+// NewLab builds the simulated world; traces are generated lazily.
 func NewLab(cfg Config) (*Lab, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -131,34 +129,29 @@ func NewLab(cfg Config) (*Lab, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := newLabMetrics(cfg.Obs)
-	if cfg.Obs != nil {
-		w.SetMetrics(mobilityMetrics(cfg.Obs))
-		cfg.Core.Obs = coreMetrics(cfg.Obs)
-		cfg.Core.Extractor.Obs = poiMetrics(cfg.Obs)
+	r := cfg.Obs
+	if r != nil {
+		w.SetMetrics(mobilityMetrics(r))
+		cfg.Core.Obs = coreMetrics(r)
+		cfg.Core.Extractor.Obs = poiMetrics(r)
 	}
 	l := &Lab{
-		cfg:        cfg,
-		world:      w,
-		pool:       newWorkerPool(cfg.workers(), m.queueDepth, m.taskSeconds),
-		obsm:       m,
-		profiles:   make(map[time.Duration][]*core.Profile),
-		collected:  make(map[time.Duration][]*core.Profile),
-		totals:     make(map[time.Duration][]int),
-		detections: make(map[detectKey][]DetectionOutcome),
+		cfg:         cfg,
+		world:       w,
+		taskSeconds: r.Histogram("locwatch_lab_pool_task_seconds", obs.DefLatencyBuckets),
+		root:        r.Tracer().Start("lab"),
+		totals:      newCached[time.Duration, []int](r, "totals"),
+		detections:  newCached[detectKey, []DetectionOutcome](r, "detect"),
 	}
-	l.obsm.root = m.tracer.Start("lab")
-	runtime.SetFinalizer(l, (*Lab).Close)
+	for win, name := range windowCaches {
+		l.profiles[win] = newCached[time.Duration, []*core.Profile](r, name)
+	}
 	return l, nil
 }
 
-// Close stops the lab's worker pool. Safe to call more than once;
-// experiments must not be run after Close.
-func (l *Lab) Close() {
-	runtime.SetFinalizer(l, nil)
-	l.pool.close()
-	l.obsm.root.End()
-}
+// Close ends the lab's root span, so a tracer records it. Safe to call
+// more than once.
+func (l *Lab) Close() { l.root.End() }
 
 // Config returns the lab configuration.
 func (l *Lab) Config() Config { return l.cfg }
@@ -173,73 +166,89 @@ func (l *Lab) splitCut() time.Time {
 	return l.cfg.Mobility.Start.Add(time.Duration(days * 24 * float64(time.Hour)))
 }
 
-// workerPool is a fixed set of goroutines owned by a Lab for the
-// lifetime of the Lab: experiments submit closures instead of paying
-// goroutine spawn-and-teardown on every fan-out.
-type workerPool struct {
-	tasks chan func()
-	wg    sync.WaitGroup
-	once  sync.Once
-
-	// Observe-only instruments (nil when disabled): queueDepth is the
-	// number of submitted-but-not-yet-started tasks, taskSeconds the
-	// per-task execution latency.
-	queueDepth  *obs.Gauge
-	taskSeconds *obs.Histogram
-}
-
-func newWorkerPool(n int, queueDepth *obs.Gauge, taskSeconds *obs.Histogram) *workerPool {
-	p := &workerPool{
-		tasks:       make(chan func()),
-		queueDepth:  queueDepth,
-		taskSeconds: taskSeconds,
-	}
-	p.wg.Add(n)
-	for i := 0; i < n; i++ {
+// forEachUser runs fn for every user on min(Workers, users) goroutines
+// that claim user ids from a shared counter, and returns the joined
+// errors once all have finished. Completion order varies, so fn must
+// write its results to per-user slots.
+func (l *Lab) forEachUser(fn func(id int) error) error {
+	n := l.world.NumUsers()
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(l.cfg.workers(), n) {
+		wg.Add(1)
 		go func() {
-			defer p.wg.Done()
-			for task := range p.tasks {
-				p.queueDepth.Dec()
-				t := p.taskSeconds.Timer()
-				task()
+			defer wg.Done()
+			for id := int(next.Add(1)) - 1; id < n; id = int(next.Add(1)) - 1 {
+				t := l.taskSeconds.Timer()
+				errs[id] = fn(id)
 				t.Stop()
 			}
 		}()
 	}
-	return p
-}
-
-func (p *workerPool) submit(task func()) {
-	p.queueDepth.Inc()
-	p.tasks <- task
-}
-
-// close stops the workers after draining queued tasks. Idempotent.
-func (p *workerPool) close() {
-	p.once.Do(func() {
-		close(p.tasks)
-		p.wg.Wait()
-	})
-}
-
-// forEachUser fans fn out over all users on the lab's worker pool and
-// returns the joined errors. fn must not call forEachUser itself: a
-// nested fan-out would wait on the pool from inside the pool.
-func (l *Lab) forEachUser(fn func(id int) error) error {
-	n := l.world.NumUsers()
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for id := 0; id < n; id++ {
-		id := id
-		wg.Add(1)
-		l.pool.submit(func() {
-			defer wg.Done()
-			errs[id] = fn(id)
-		})
-	}
 	wg.Wait()
 	return errors.Join(errs...)
 }
+
+// cached memoizes one kind of lab input by key. Concurrent first calls
+// for a key may both build; the first result stored wins, so every
+// call returns the same value.
+type cached[K comparable, V any] struct {
+	hits, misses *obs.Counter
+
+	mu sync.Mutex
+	m  map[K]V
+}
+
+// newCached counts lookups on r as
+// locwatch_lab_<name>_cache_{hits,misses}_total.
+func newCached[K comparable, V any](r *obs.Registry, name string) *cached[K, V] {
+	return &cached[K, V]{
+		hits:   r.Counter("locwatch_lab_" + name + "_cache_hits_total"),
+		misses: r.Counter("locwatch_lab_" + name + "_cache_misses_total"),
+		m:      make(map[K]V),
+	}
+}
+
+// get returns the value stored for key, building and storing it on
+// first use.
+func (c *cached[K, V]) get(key K, build func() (V, error)) (V, error) {
+	c.mu.Lock()
+	v, ok := c.m[key]
+	c.mu.Unlock()
+	if ok {
+		c.hits.Inc()
+		return v, nil
+	}
+	c.misses.Inc()
+	v, err := build()
+	if err != nil {
+		var zero V
+		return zero, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if prev, ok := c.m[key]; ok {
+		return prev, nil
+	}
+	c.m[key] = v
+	return v, nil
+}
+
+// window is the stretch of each user's trace a cached profile covers.
+type window int
+
+const (
+	fullPeriod  window = iota // the whole simulated period
+	beforeSplit               // the adversary's history (Figure 5)
+	afterSplit                // what apps collect after the history split
+)
+
+// The cache counter and stage span names of each window.
+var (
+	windowCaches = [...]string{fullPeriod: "profiles", beforeSplit: "hist", afterSplit: "collected"}
+	windowSpans  = [...]string{fullPeriod: "profiles_at", beforeSplit: "historical_profiles", afterSplit: "collected_at"}
+)
 
 // Profiles returns the per-user ground-truth profiles (full period,
 // native rate), building them on first use.
@@ -252,119 +261,54 @@ func (l *Lab) Profiles() ([]*core.Profile, error) {
 // Interval 0 is the ground truth Profiles returns; the other sweep
 // points are what Figures 3–4 repeatedly consume.
 func (l *Lab) ProfilesAt(interval time.Duration) ([]*core.Profile, error) {
-	l.mu.Lock()
-	if p, ok := l.profiles[interval]; ok {
-		l.mu.Unlock()
-		l.obsm.profileHits.Inc()
-		return p, nil
-	}
-	l.mu.Unlock()
-	l.obsm.profileMisses.Inc()
-	sp := l.obsm.root.Child("profiles_at")
-	sp.SetAttr("interval", intervalLabel(interval))
-	defer sp.End()
-
-	profiles := make([]*core.Profile, l.world.NumUsers())
-	err := l.forEachUser(func(id int) error {
-		src, err := l.world.Trace(id, interval)
-		if err != nil {
-			return err
-		}
-		p, err := core.BuildProfile(src, l.cfg.Mobility.CityCenter, l.cfg.Core)
-		if err != nil {
-			return fmt.Errorf("user %d: %w", id, err)
-		}
-		profiles[id] = p
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if _, ok := l.profiles[interval]; !ok {
-		l.profiles[interval] = profiles
-	}
-	return l.profiles[interval], nil
+	return l.profilesAt(interval, fullPeriod)
 }
 
 // HistoricalProfiles returns the adversary's training-window profiles.
 func (l *Lab) HistoricalProfiles() ([]*core.Profile, error) {
-	l.mu.Lock()
-	if l.hist != nil {
-		defer l.mu.Unlock()
-		l.obsm.histHits.Inc()
-		return l.hist, nil
-	}
-	l.mu.Unlock()
-	l.obsm.histMisses.Inc()
-	sp := l.obsm.root.Child("historical_profiles")
-	defer sp.End()
-
-	cut := l.splitCut()
-	hist := make([]*core.Profile, l.world.NumUsers())
-	err := l.forEachUser(func(id int) error {
-		src, err := l.world.Trace(id, 0)
-		if err != nil {
-			return err
-		}
-		p, err := core.BuildProfile(trace.NewTimeWindow(src, time.Time{}, cut), l.cfg.Mobility.CityCenter, l.cfg.Core)
-		if err != nil {
-			return fmt.Errorf("user %d: %w", id, err)
-		}
-		hist[id] = p
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.hist == nil {
-		l.hist = hist
-	}
-	return l.hist, nil
+	return l.profilesAt(0, beforeSplit)
 }
 
 // collectedAt returns the per-user profiles built from what an app
 // collecting at the given interval obtains after the history split —
-// the adversary's observation in Figure 5. Cached per interval.
+// the adversary's observation in Figure 5.
 func (l *Lab) collectedAt(interval time.Duration) ([]*core.Profile, error) {
-	l.mu.Lock()
-	if p, ok := l.collected[interval]; ok {
-		l.mu.Unlock()
-		l.obsm.collectedHits.Inc()
-		return p, nil
-	}
-	l.mu.Unlock()
-	l.obsm.collectedMisses.Inc()
-	sp := l.obsm.root.Child("collected_at")
-	sp.SetAttr("interval", intervalLabel(interval))
-	defer sp.End()
+	return l.profilesAt(interval, afterSplit)
+}
 
-	cut := l.splitCut()
-	collected := make([]*core.Profile, l.world.NumUsers())
-	err := l.forEachUser(func(id int) error {
-		src, err := l.world.Trace(id, interval)
-		if err != nil {
-			return err
+// profilesAt returns every user's profile over window w of the trace
+// sampled at interval, cached per window and interval.
+func (l *Lab) profilesAt(interval time.Duration, w window) ([]*core.Profile, error) {
+	return l.profiles[w].get(interval, func() ([]*core.Profile, error) {
+		sp := l.root.Child(windowSpans[w])
+		sp.SetAttr("interval", intervalLabel(interval))
+		defer sp.End()
+
+		var from, to time.Time
+		switch w {
+		case beforeSplit:
+			to = l.splitCut()
+		case afterSplit:
+			from = l.splitCut()
 		}
-		p, err := core.BuildProfile(trace.NewTimeWindow(src, cut, time.Time{}), l.cfg.Mobility.CityCenter, l.cfg.Core)
-		if err != nil {
-			return fmt.Errorf("user %d: %w", id, err)
-		}
-		collected[id] = p
-		return nil
+		profiles := make([]*core.Profile, l.world.NumUsers())
+		err := l.forEachUser(func(id int) error {
+			src, err := l.world.Trace(id, interval)
+			if err != nil {
+				return err
+			}
+			if w != fullPeriod {
+				src = trace.NewTimeWindow(src, from, to)
+			}
+			p, err := core.BuildProfile(src, l.cfg.Mobility.CityCenter, l.cfg.Core)
+			if err != nil {
+				return fmt.Errorf("user %d: %w", id, err)
+			}
+			profiles[id] = p
+			return nil
+		})
+		return profiles, err
 	})
-	if err != nil {
-		return nil, err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if _, ok := l.collected[interval]; !ok {
-		l.collected[interval] = collected
-	}
-	return l.collected[interval], nil
 }
 
 // pointTotals returns, per user, the number of fixes an app collecting
@@ -373,40 +317,22 @@ func (l *Lab) collectedAt(interval time.Duration) ([]*core.Profile, error) {
 // geometry or noise, so the counts match Trace exactly without paying
 // for interpolation. Cached.
 func (l *Lab) pointTotals(interval time.Duration) ([]int, error) {
-	l.mu.Lock()
-	if t, ok := l.totals[interval]; ok {
-		l.mu.Unlock()
-		l.obsm.totalsHits.Inc()
-		return t, nil
-	}
-	l.mu.Unlock()
-	l.obsm.totalsMisses.Inc()
-	sp := l.obsm.root.Child("point_totals")
-	sp.SetAttr("interval", intervalLabel(interval))
-	defer sp.End()
+	return l.totals.get(interval, func() ([]int, error) {
+		sp := l.root.Child("point_totals")
+		sp.SetAttr("interval", intervalLabel(interval))
+		defer sp.End()
 
-	totals := make([]int, l.world.NumUsers())
-	err := l.forEachUser(func(id int) error {
-		src, err := l.world.TraceTimes(id, interval)
-		if err != nil {
+		totals := make([]int, l.world.NumUsers())
+		err := l.forEachUser(func(id int) error {
+			src, err := l.world.TraceTimes(id, interval)
+			if err != nil {
+				return err
+			}
+			totals[id], err = trace.Count(src)
 			return err
-		}
-		n, err := trace.Count(src)
-		if err != nil {
-			return err
-		}
-		totals[id] = n
-		return nil
+		})
+		return totals, err
 	})
-	if err != nil {
-		return nil, err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if _, ok := l.totals[interval]; !ok {
-		l.totals[interval] = totals
-	}
-	return l.totals[interval], nil
 }
 
 // intervalLabel renders an interval for table output; 0 is the native

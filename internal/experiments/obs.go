@@ -7,51 +7,6 @@ import (
 	"locwatch/internal/poi"
 )
 
-// labMetrics holds the lab's instruments. The zero value — every
-// pointer nil — is the disabled state: all instrument methods no-op on
-// nil receivers, so instrumented code pays one branch and nothing
-// else. Everything here is observe-only (DESIGN.md §8): instruments
-// are written after decisions and never read back, so enabling them
-// cannot change a single emitted bit.
-type labMetrics struct {
-	profileHits     *obs.Counter
-	profileMisses   *obs.Counter
-	histHits        *obs.Counter
-	histMisses      *obs.Counter
-	collectedHits   *obs.Counter
-	collectedMisses *obs.Counter
-	totalsHits      *obs.Counter
-	totalsMisses    *obs.Counter
-	detectHits      *obs.Counter
-	detectMisses    *obs.Counter
-
-	queueDepth  *obs.Gauge
-	taskSeconds *obs.Histogram
-
-	tracer *obs.Tracer
-	root   *obs.Span
-}
-
-// newLabMetrics creates the lab's instruments on r (nil r disables
-// everything: a nil registry hands out nil instruments).
-func newLabMetrics(r *obs.Registry) labMetrics {
-	return labMetrics{
-		profileHits:     r.Counter("locwatch_lab_profiles_cache_hits_total"),
-		profileMisses:   r.Counter("locwatch_lab_profiles_cache_misses_total"),
-		histHits:        r.Counter("locwatch_lab_hist_cache_hits_total"),
-		histMisses:      r.Counter("locwatch_lab_hist_cache_misses_total"),
-		collectedHits:   r.Counter("locwatch_lab_collected_cache_hits_total"),
-		collectedMisses: r.Counter("locwatch_lab_collected_cache_misses_total"),
-		totalsHits:      r.Counter("locwatch_lab_totals_cache_hits_total"),
-		totalsMisses:    r.Counter("locwatch_lab_totals_cache_misses_total"),
-		detectHits:      r.Counter("locwatch_lab_detect_cache_hits_total"),
-		detectMisses:    r.Counter("locwatch_lab_detect_cache_misses_total"),
-		queueDepth:      r.Gauge("locwatch_lab_pool_queue_depth"),
-		taskSeconds:     r.Histogram("locwatch_lab_pool_task_seconds", obs.DefLatencyBuckets),
-		tracer:          r.Tracer(),
-	}
-}
-
 // coreMetrics wires the model-layer counters that ride on core.Params
 // into deep call chains (profile builders, detectors, ablations)
 // without new plumbing.

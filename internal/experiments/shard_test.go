@@ -11,8 +11,8 @@ import (
 // into index-ordered slots and folds them sequentially by user id, so
 // the output must be byte-identical between a serial lab (Workers=1)
 // and a genuinely concurrent one (Workers=4 — deliberately above
-// GOMAXPROCS on single-CPU runners to force interleaving through the
-// pool). The run covers both the figure pipeline and the ablations,
+// GOMAXPROCS on single-CPU runners to force interleaved per-user
+// tasks). The run covers both the figure pipeline and the ablations,
 // i.e. every converted reduction site.
 func TestShardedReductionDeterminism(t *testing.T) {
 	if testing.Short() {
@@ -45,6 +45,7 @@ func TestShardedReductionDeterminism(t *testing.T) {
 	}
 
 	serial := outputs(1)
+	checkPin(t, "workers=1", serial, "38a098ee001c04b418ce7277e3b8166c93148761e7e7ad082bde8f69e3064c01")
 	sharded := outputs(4)
 	if serial == sharded {
 		return

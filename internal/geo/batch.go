@@ -12,34 +12,6 @@ package geo
 // batch_test.go); the determinism guarantees of DESIGN.md §7 therefore
 // carry over unchanged.
 
-// DistanceBatch fills dst with Distance(ps[i], qs[i]) for each i.
-// All three slices must have the same length.
-func DistanceBatch(dst []float64, ps, qs []LatLon) {
-	checkBatchLens(len(dst), len(ps), len(qs))
-	for i := range ps {
-		dst[i] = Distance(ps[i], qs[i])
-	}
-}
-
-// LocalDistanceBatch fills dst with LocalDistance(ps[i], qs[i]) for
-// each i. All three slices must have the same length.
-func LocalDistanceBatch(dst []float64, ps, qs []LatLon) {
-	checkBatchLens(len(dst), len(ps), len(qs))
-	for i := range ps {
-		dst[i] = LocalDistance(ps[i], qs[i])
-	}
-}
-
-// LocalDistanceFrom fills dst with LocalDistance(p, qs[i]) for each i
-// — the one-vs-many form threshold sweeps use (anchor and centroid
-// checks). dst and qs must have the same length.
-func LocalDistanceFrom(dst []float64, p LatLon, qs []LatLon) {
-	checkBatchLens(len(dst), len(qs), len(qs))
-	for i := range qs {
-		dst[i] = LocalDistance(p, qs[i])
-	}
-}
-
 // InterpolateBatch fills dst with Interpolate(p, q, fs[i]) for each i:
 // many fractions along one segment, the inner kernel of batched leg
 // interpolation. dst and fs must have the same length.
@@ -47,15 +19,6 @@ func InterpolateBatch(dst []LatLon, p, q LatLon, fs []float64) {
 	checkBatchLens(len(dst), len(fs), len(fs))
 	for i, f := range fs {
 		dst[i] = Interpolate(p, q, f)
-	}
-}
-
-// ToXYBatch projects pts into the SoA pair (xs, ys) of local east and
-// north meters. All three slices must have the same length.
-func (pr *Projection) ToXYBatch(pts []LatLon, xs, ys []float64) {
-	checkBatchLens(len(pts), len(xs), len(ys))
-	for i, p := range pts {
-		xs[i], ys[i] = pr.ToXY(p)
 	}
 }
 

@@ -45,29 +45,6 @@ func TestBatchKernelsBitIdentical(t *testing.T) {
 	const n = 4096
 	ps, qs := randPairs(rng, n)
 
-	dst := make([]float64, n)
-	DistanceBatch(dst, ps, qs)
-	for i := range ps {
-		if want := Distance(ps[i], qs[i]); !bitsEq(dst[i], want) {
-			t.Fatalf("DistanceBatch[%d] = %x, scalar = %x", i, dst[i], want)
-		}
-	}
-
-	LocalDistanceBatch(dst, ps, qs)
-	for i := range ps {
-		if want := LocalDistance(ps[i], qs[i]); !bitsEq(dst[i], want) {
-			t.Fatalf("LocalDistanceBatch[%d] = %x, scalar = %x", i, dst[i], want)
-		}
-	}
-
-	anchor := ps[0]
-	LocalDistanceFrom(dst, anchor, qs)
-	for i := range qs {
-		if want := LocalDistance(anchor, qs[i]); !bitsEq(dst[i], want) {
-			t.Fatalf("LocalDistanceFrom[%d] = %x, scalar = %x", i, dst[i], want)
-		}
-	}
-
 	fs := make([]float64, n)
 	for i := range fs {
 		fs[i] = rng.Float64()*1.2 - 0.1 // cover both clamp branches
@@ -81,16 +58,6 @@ func TestBatchKernelsBitIdentical(t *testing.T) {
 	}
 
 	pr := NewProjection(ps[0])
-	xs := make([]float64, n)
-	ys := make([]float64, n)
-	pr.ToXYBatch(ps, xs, ys)
-	for i := range ps {
-		wx, wy := pr.ToXY(ps[i])
-		if !bitsEq(xs[i], wx) || !bitsEq(ys[i], wy) {
-			t.Fatalf("ToXYBatch[%d] = (%x, %x), scalar = (%x, %x)", i, xs[i], ys[i], wx, wy)
-		}
-	}
-
 	east := make([]float64, n)
 	north := make([]float64, n)
 	for i := range east {
@@ -168,30 +135,12 @@ func FuzzBatchKernelsBitIdentical(f *testing.F) {
 	f.Fuzz(func(t *testing.T, lat1, lon1, lat2, lon2, fr float64) {
 		p := LatLon{Lat: lat1, Lon: lon1}
 		q := LatLon{Lat: lat2, Lon: lon2}
-		ps := []LatLon{p}
-		qs := []LatLon{q}
-		dst := make([]float64, 1)
-
-		DistanceBatch(dst, ps, qs)
-		if want := Distance(p, q); !bitsEq(dst[0], want) {
-			t.Fatalf("DistanceBatch = %x, scalar = %x", dst[0], want)
-		}
-		LocalDistanceBatch(dst, ps, qs)
-		if want := LocalDistance(p, q); !bitsEq(dst[0], want) {
-			t.Fatalf("LocalDistanceBatch = %x, scalar = %x", dst[0], want)
-		}
 		out := []LatLon{{}}
 		InterpolateBatch(out, p, q, []float64{fr})
 		if want := Interpolate(p, q, fr); !latLonBitsEq(out[0], want) {
 			t.Fatalf("InterpolateBatch = %v, scalar = %v", out[0], want)
 		}
 		pr := NewProjection(p)
-		xs, ys := make([]float64, 1), make([]float64, 1)
-		pr.ToXYBatch(qs, xs, ys)
-		wx, wy := pr.ToXY(q)
-		if !bitsEq(xs[0], wx) || !bitsEq(ys[0], wy) {
-			t.Fatalf("ToXYBatch = (%x, %x), scalar = (%x, %x)", xs[0], ys[0], wx, wy)
-		}
 		got := []LatLon{q}
 		pr.OffsetBatch(got, []float64{lat2}, []float64{lon2})
 		if want := pr.Offset(q, lat2, lon2); !latLonBitsEq(got[0], want) {
@@ -206,5 +155,5 @@ func TestBatchKernelLengthMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic on length mismatch")
 		}
 	}()
-	DistanceBatch(make([]float64, 2), make([]LatLon, 3), make([]LatLon, 3))
+	InterpolateBatch(make([]LatLon, 2), LatLon{}, LatLon{}, make([]float64, 3))
 }

@@ -153,8 +153,7 @@ func Main() int {
 // type-check, all 15 analyzers) into an empty cache; warm replays the
 // same run against a primed cache, which reduces to one go list plus
 // content hashing — no parsing, no type-checking, no analysis. The
-// cold/warm ratio in BENCH_10.json is the headline number for the
-// cache.
+// cold/warm ratio is the headline number for the cache.
 func BenchmarkLintColdVsWarm(b *testing.B) {
 	root := benchCheckModule(b)
 	b.Run("cold", func(b *testing.B) {
