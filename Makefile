@@ -26,15 +26,15 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# The domain analyzers: the syntactic tier (latlonbounds, angleunits,
-# lockedmap, durationseconds), the flow-sensitive tier (nilfacade,
-# exhaustenum, errflow), the interprocedural tier (detreach, privtaint,
-# spawnleak, plus nilfacade's cross-function nilness), the concurrency
-# tier (locksafe, chanowner, ctxflow) and the deadlock tier (lockorder,
-# blockhold). The run's findings are cached under .lintcache, keyed by
-# the Go version, the analyzer roster and the source bytes of every
-# listed package, so rerunning over an unchanged tree replays them
-# without loading anything. Exit status 1 means findings.
+# The domain analyzers: the syntactic tier (latlonbounds,
+# durationseconds), the flow-sensitive tier (nilfacade, exhaustenum,
+# errflow), the interprocedural tier (privtaint, spawnleak, plus
+# nilfacade's cross-function nilness), the concurrency tier (locksafe,
+# chanowner) and the deadlock tier (blockhold). The run's findings are
+# cached under .lintcache, keyed by the Go version, the analyzer roster
+# and the source bytes of every listed package, so rerunning over an
+# unchanged tree replays them without loading anything. Exit status 1
+# means findings.
 lint:
 	$(GO) run ./cmd/locwatchlint -cache-dir .lintcache ./...
 

@@ -55,9 +55,7 @@ type sarifResult struct {
 
 // sarifSuppression marks a result as silenced without dropping it —
 // viewers render it greyed out instead of as a failure. Kind is
-// "inSource" for //lint:ignore directives, "external" for baseline
-// matches (SARIF's vocabulary for suppressions living outside the
-// code).
+// "inSource": //lint:ignore directives are the only suppressions.
 type sarifSuppression struct {
 	Kind          string `json:"kind"`
 	Justification string `json:"justification,omitempty"`
@@ -106,11 +104,8 @@ func writeSARIF(w io.Writer, root string, analyzers []*analysis.Analyzer, findin
 			r.RelatedLocations = append(r.RelatedLocations,
 				sarifLoc(root, rel.File, rel.Line, rel.Column, rel.Message))
 		}
-		switch f.Suppressed {
-		case lint.SuppressedInSource:
+		if f.Suppressed == lint.SuppressedInSource {
 			r.Suppressions = []sarifSuppression{{Kind: "inSource", Justification: f.Justification}}
-		case lint.SuppressedBaseline:
-			r.Suppressions = []sarifSuppression{{Kind: "external", Justification: f.Justification}}
 		}
 		results = append(results, r)
 	}

@@ -137,8 +137,7 @@ func TestSARIFColdVsWarm(t *testing.T) {
 
 // TestSARIFSuppressions pins the suppression mapping: //lint:ignore
 // findings surface as kind inSource with the directive's justification,
-// baseline matches as kind external, and active findings carry no
-// suppressions array at all.
+// and active findings carry no suppressions array at all.
 func TestSARIFSuppressions(t *testing.T) {
 	findings := []lint.Finding{
 		{
@@ -146,11 +145,6 @@ func TestSARIFSuppressions(t *testing.T) {
 			Message:       "field S.x is written without synchronization",
 			Suppressed:    lint.SuppressedInSource,
 			Justification: "write happens before close(done)",
-		},
-		{
-			Analyzer: "detreach", File: "/mod/b.go", Line: 2, Column: 1,
-			Message:    "time.Now in simulation path",
-			Suppressed: lint.SuppressedBaseline,
 		},
 		{
 			Analyzer: "latlonbounds", File: "/mod/c.go", Line: 3, Column: 1,
@@ -166,8 +160,8 @@ func TestSARIFSuppressions(t *testing.T) {
 		t.Fatalf("output is not valid JSON: %v", err)
 	}
 	rs := log.Runs[0].Results
-	if len(rs) != 3 {
-		t.Fatalf("got %d results, want 3", len(rs))
+	if len(rs) != 2 {
+		t.Fatalf("got %d results, want 2", len(rs))
 	}
 	if len(rs[0].Suppressions) != 1 || rs[0].Suppressions[0].Kind != "inSource" {
 		t.Errorf("inSource suppression = %+v", rs[0].Suppressions)
@@ -175,10 +169,7 @@ func TestSARIFSuppressions(t *testing.T) {
 	if got := rs[0].Suppressions[0].Justification; got != "write happens before close(done)" {
 		t.Errorf("justification = %q", got)
 	}
-	if len(rs[1].Suppressions) != 1 || rs[1].Suppressions[0].Kind != "external" {
-		t.Errorf("baseline suppression = %+v", rs[1].Suppressions)
-	}
-	if len(rs[2].Suppressions) != 0 {
-		t.Errorf("active finding grew suppressions: %+v", rs[2].Suppressions)
+	if len(rs[1].Suppressions) != 0 {
+		t.Errorf("active finding grew suppressions: %+v", rs[1].Suppressions)
 	}
 }

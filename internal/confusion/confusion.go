@@ -73,20 +73,6 @@ func (r Result) MeanTimeToConfusion() time.Duration {
 	return sum / time.Duration(len(r.Segments))
 }
 
-// MaxTimeToConfusion returns the longest uninterrupted tracking span.
-func (r Result) MaxTimeToConfusion() time.Duration {
-	max := time.Duration(0)
-	for _, s := range r.Segments {
-		if s > max {
-			max = s
-		}
-	}
-	if max == 0 {
-		return r.Tracked
-	}
-	return max
-}
-
 // TimeToConfusion runs the tracking adversary against user who over
 // the aligned population: at every tick the adversary knows which
 // release belongs to the user it is following as long as no other

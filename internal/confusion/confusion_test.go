@@ -176,9 +176,6 @@ func TestPopulation(t *testing.T) {
 	if rs[2].Confusions != 0 {
 		t.Fatal("loner confused")
 	}
-	if rs[2].MaxTimeToConfusion() != rs[2].Tracked {
-		t.Fatal("loner's max TTC should be the whole span")
-	}
 }
 
 func TestUserIndexValidation(t *testing.T) {

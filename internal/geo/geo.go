@@ -299,9 +299,6 @@ func NewProjection(origin LatLon) *Projection {
 	}
 }
 
-// Origin returns the projection anchor.
-func (pr *Projection) Origin() LatLon { return pr.origin }
-
 // ToXY projects p to local (east, north) meters relative to the origin.
 func (pr *Projection) ToXY(p LatLon) (x, y float64) {
 	x = (p.Lon - pr.origin.Lon) * degToRad * EarthRadius * pr.cosLat0

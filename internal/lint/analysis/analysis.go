@@ -15,8 +15,8 @@ import (
 
 // Analyzer describes one static check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics, -disable flags and
-	// //lint:ignore directives. It must be a valid identifier.
+	// Name identifies the analyzer in diagnostics and //lint:ignore
+	// directives. It must be a valid identifier.
 	Name string
 
 	// Doc is a one-paragraph description of what the analyzer flags.

@@ -13,14 +13,6 @@ func TestLatLonBounds(t *testing.T) {
 	analysistest.Run(t, fixtures, lint.LatLonBounds, "latlonbounds")
 }
 
-func TestAngleUnits(t *testing.T) {
-	analysistest.Run(t, fixtures, lint.AngleUnits, "angleunits")
-}
-
-func TestLockedMap(t *testing.T) {
-	analysistest.Run(t, fixtures, lint.LockedMap, "lockedmap")
-}
-
 func TestDurationSeconds(t *testing.T) {
 	analysistest.Run(t, fixtures, lint.DurationSeconds, "durationseconds")
 }
@@ -55,18 +47,6 @@ func TestNilFacadeHelpers(t *testing.T) {
 
 func TestErrFlow(t *testing.T) {
 	analysistest.Run(t, fixtures, lint.ErrFlow, "errflow")
-}
-
-// TestDetReach covers whole-program clock reachability: findings land
-// on the direct time.Now/rand call sites in every package reachable
-// from the stub roots (every function of the mobility and experiments
-// stubs, called or not), cross-package and through interface dispatch,
-// while the observe-only obs stub and an unreachable clock read
-// outside the simulation packages stay silent.
-func TestDetReach(t *testing.T) {
-	analysistest.Run(t, fixtures, lint.DetReach,
-		"detreach/mobility", "detreach/util", "detreach/experiments",
-		"detreach/geo", "detreach/obs", "detreach/app")
 }
 
 // TestPrivTaint covers the location-taint tier: direct sinks,
@@ -104,24 +84,6 @@ func TestLockSafe(t *testing.T) {
 // silent.
 func TestChanOwner(t *testing.T) {
 	analysistest.Run(t, fixtures, lint.ChanOwner, "chanowner")
-}
-
-// TestCtxFlow covers cancellation flow: ctx-accepting functions that
-// block without a ctx.Done() escape or drop the ctx at a blocking
-// call, and contexts stored in struct fields; ctx-selecting,
-// forwarding and polling shapes stay silent.
-func TestCtxFlow(t *testing.T) {
-	analysistest.Run(t, fixtures, lint.CtxFlow, "ctxflow")
-}
-
-// TestLockOrder covers the deadlock tier's order graph: in-package and
-// cross-package acquisition cycles (both sides reported in their own
-// package), cycles through call chains, self-deadlocks by direct and
-// call-crossing re-acquisition (including the RWMutex read→write
-// upgrade); sequential handoff, consistent orders, nested read locks
-// and the suppressed side stay silent.
-func TestLockOrder(t *testing.T) {
-	analysistest.Run(t, fixtures, lint.LockOrder, "lockorder", "lockorder/other", "lockorder/core")
 }
 
 // TestBlockHold covers blocking-under-lock: channel sends, sleeps and

@@ -42,7 +42,6 @@ func benchAnalyzer(b *testing.B, a *analysis.Analyzer, path string) {
 func BenchmarkNilFacade(b *testing.B)   { benchAnalyzer(b, lint.NilFacade, "nilfacade") }
 func BenchmarkErrFlow(b *testing.B)     { benchAnalyzer(b, lint.ErrFlow, "errflow") }
 func BenchmarkExhaustEnum(b *testing.B) { benchAnalyzer(b, lint.ExhaustEnum, "exhaustenum") }
-func BenchmarkDetReach(b *testing.B)    { benchAnalyzer(b, lint.DetReach, "detreach/mobility") }
 func BenchmarkSpawnLeak(b *testing.B)   { benchAnalyzer(b, lint.SpawnLeak, "spawnleak") }
 func BenchmarkPrivTaint(b *testing.B)   { benchAnalyzer(b, lint.PrivTaint, "privtaint/app") }
 
@@ -150,10 +149,10 @@ func Main() int {
 
 // BenchmarkLintColdVsWarm measures the lint driver end to end: cold
 // runs the full pipeline (go list, export-data listing, load,
-// type-check, all 15 analyzers) into an empty cache; warm replays the
-// same run against a primed cache, which reduces to one go list plus
-// content hashing — no parsing, no type-checking, no analysis. The
-// cold/warm ratio is the headline number for the cache.
+// type-check, every analyzer in lint.All()) into an empty cache; warm
+// replays the same run against a primed cache, which reduces to one go
+// list plus content hashing — no parsing, no type-checking, no
+// analysis. The cold/warm ratio is the headline number for the cache.
 func BenchmarkLintColdVsWarm(b *testing.B) {
 	root := benchCheckModule(b)
 	b.Run("cold", func(b *testing.B) {

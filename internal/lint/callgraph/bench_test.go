@@ -59,8 +59,8 @@ func BenchmarkSummaries(b *testing.B) {
 	}
 }
 
-// BenchmarkReachability times a forward reachability flood from every
-// node of the module graph — the query detreach issues once per run.
+// BenchmarkReachability times a forward reachability flood over the
+// module graph — the query spawnleak issues from each close method.
 func BenchmarkReachability(b *testing.B) {
 	pkgs := loadModule(b)
 	g := callgraph.Build(pkgs)

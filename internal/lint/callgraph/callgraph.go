@@ -1,8 +1,8 @@
 // Package callgraph builds a whole-program, type-based call graph over
 // the packages the lint loader produced — the interprocedural substrate
-// under the detreach, spawnleak and nilfacade analyzers, playing the
-// role golang.org/x/tools/go/callgraph/cha plays for real nilness and
-// leak checkers.
+// under the spawnleak, nilfacade, privtaint and concurrency analyzers,
+// playing the role golang.org/x/tools/go/callgraph/cha plays for real
+// nilness and leak checkers.
 //
 // The graph has one node per declared function or method. Code inside
 // function literals (closures, deferred literals, `go func(){…}()`
@@ -19,15 +19,14 @@
 // reachable. A call through a plain function-typed value (`var f
 // func(); f()`, a func parameter, a stored callback) fans out to every
 // address-taken declared function whose signature matches the call —
-// the classic address-taken approximation, so `detreach` and
-// `privtaint` no longer lose the trail when a callback crosses a
-// function boundary. Package initialization (func values created in
+// the classic address-taken approximation, so `privtaint` and
+// `nilfacade` do not lose the trail when a callback crosses a function
+// boundary. Package initialization (func values created in
 // package-level var declarations) remains unmodeled; see DESIGN.md §6
 // for the soundness caveats.
 package callgraph
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -421,19 +420,8 @@ func (g *Graph) chaTargets(m *types.Func) []*Node {
 // Reachable returns the set of nodes reachable from roots along Out
 // edges (the roots themselves included).
 func (g *Graph) Reachable(roots []*Node) map[*Node]bool {
-	return flood(roots, func(n *Node) []*Edge { return n.Out }, func(e *Edge) *Node { return e.Callee })
-}
-
-// ReverseReachable returns the set of nodes that can reach any of the
-// targets along call edges (the targets themselves included) — "who
-// can end up calling this".
-func (g *Graph) ReverseReachable(targets []*Node) map[*Node]bool {
-	return flood(targets, func(n *Node) []*Edge { return n.In }, func(e *Edge) *Node { return e.Caller })
-}
-
-func flood(from []*Node, edges func(*Node) []*Edge, next func(*Edge) *Node) map[*Node]bool {
 	seen := make(map[*Node]bool)
-	stack := append([]*Node(nil), from...)
+	stack := append([]*Node(nil), roots...)
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -441,45 +429,11 @@ func flood(from []*Node, edges func(*Node) []*Edge, next func(*Edge) *Node) map[
 			continue
 		}
 		seen[n] = true
-		for _, e := range edges(n) {
-			stack = append(stack, next(e))
+		for _, e := range n.Out {
+			stack = append(stack, e.Callee)
 		}
 	}
 	return seen
-}
-
-// PathFrom returns a shortest call path from any of the roots to
-// target (both ends included), or nil when target is unreachable.
-func (g *Graph) PathFrom(roots []*Node, target *Node) []*Node {
-	parent := make(map[*Node]*Node)
-	queue := make([]*Node, 0, len(roots))
-	for _, r := range roots {
-		if _, ok := parent[r]; ok || r == nil {
-			continue
-		}
-		parent[r] = r // self-parent marks a root
-		queue = append(queue, r)
-	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		if n == target {
-			var path []*Node
-			for at := target; ; at = parent[at] {
-				path = append([]*Node{at}, path...)
-				if parent[at] == at {
-					return path
-				}
-			}
-		}
-		for _, e := range n.Out {
-			if _, ok := parent[e.Callee]; !ok {
-				parent[e.Callee] = n
-				queue = append(queue, e.Callee)
-			}
-		}
-	}
-	return nil
 }
 
 // SCCs returns the strongly connected components of the graph in
@@ -538,13 +492,4 @@ func (g *Graph) SCCs() [][]*Node {
 	}
 	g.sccs = out
 	return out
-}
-
-// String renders a one-line shape summary for debugging.
-func (g *Graph) String() string {
-	edges := 0
-	for _, n := range g.order {
-		edges += len(n.Out)
-	}
-	return fmt.Sprintf("callgraph: %d packages, %d functions, %d edges", len(g.Packages), len(g.order), edges)
 }

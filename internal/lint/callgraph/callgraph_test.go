@@ -31,7 +31,7 @@ func node(t testing.TB, g *callgraph.Graph, suffix string) *callgraph.Node {
 			return n
 		}
 	}
-	t.Fatalf("no node with suffix %q in %s", suffix, g)
+	t.Fatalf("no node with suffix %q among %d functions", suffix, len(g.Nodes()))
 	return nil
 }
 
@@ -141,20 +141,6 @@ func TestReachability(t *testing.T) {
 	}
 	if reach[even] {
 		t.Error("Even must not be reachable from Drive")
-	}
-
-	rev := g.ReverseReachable([]*callgraph.Node{clock})
-	if !rev[drive] {
-		t.Error("Drive must reverse-reach clockInt")
-	}
-
-	path := g.PathFrom([]*callgraph.Node{drive}, clock)
-	if len(path) < 3 || path[0] != drive || path[len(path)-1] != clock {
-		names := make([]string, len(path))
-		for i, n := range path {
-			names[i] = n.Name()
-		}
-		t.Errorf("PathFrom(Drive, clockInt) = %v, want Drive → (*B).Next → clockInt", names)
 	}
 }
 

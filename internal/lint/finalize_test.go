@@ -19,7 +19,7 @@ func TestFinalizeFindings(t *testing.T) {
 		{Analyzer: "blockhold", File: "a.go", Line: 10, Column: 2, Message: "m", Related: long},
 		{Analyzer: "blockhold", File: "a.go", Line: 10, Column: 2, Message: "m", Related: short},
 		{Analyzer: "blockhold", File: "a.go", Line: 10, Column: 2, Message: "other"},
-		{Analyzer: "lockorder", File: "a.go", Line: 10, Column: 2, Message: "m"},
+		{Analyzer: "locksafe", File: "a.go", Line: 10, Column: 2, Message: "m"},
 		{Analyzer: "blockhold", File: "a.go", Line: 4, Column: 2, Message: "m"},
 	}
 	got := finalizeFindings(in)
@@ -27,7 +27,7 @@ func TestFinalizeFindings(t *testing.T) {
 		{Analyzer: "blockhold", File: "a.go", Line: 4, Column: 2, Message: "m"},
 		{Analyzer: "blockhold", File: "a.go", Line: 10, Column: 2, Message: "m", Related: short},
 		{Analyzer: "blockhold", File: "a.go", Line: 10, Column: 2, Message: "other"},
-		{Analyzer: "lockorder", File: "a.go", Line: 10, Column: 2, Message: "m"},
+		{Analyzer: "locksafe", File: "a.go", Line: 10, Column: 2, Message: "m"},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("finalizeFindings:\n got %+v\nwant %+v", got, want)

@@ -1,9 +1,12 @@
 // Package lint is locwatch's domain lint suite: custom analyzers that
-// machine-check the geometric and concurrency invariants the paper's
-// risk numbers depend on (coordinate ranges, angle units, guarded
-// fan-out writes, typed durations, injected clocks). The analyzers are
-// built on the x/tools-shaped mini framework in internal/lint/analysis
-// and driven by cmd/locwatchlint and the `make check` gate.
+// machine-check the invariants the paper's risk numbers depend on
+// (coordinate ranges, typed durations, handled errors and enum members,
+// scrubbed location output, joined goroutines, consistent locking).
+// Each analyzer keeps its place only by catching a seeded regression
+// that neither go vet nor the tests catch (TestSeededDefects). The
+// analyzers are built on the x/tools-shaped mini framework in
+// internal/lint/analysis and driven by cmd/locwatchlint and the
+// `make check` gate.
 //
 // A finding can be suppressed at a call site that is known-good with a
 // directive comment on (or immediately above) the offending line:
@@ -22,28 +25,23 @@ import (
 	"locwatch/internal/lint/loader"
 )
 
-// All returns the full analyzer suite in stable order: the four
-// syntactic analyzers from the first tier, the flow-sensitive tier
+// All returns the full analyzer suite in stable order: the syntactic
+// tier (latlonbounds, durationseconds), the flow-sensitive tier
 // (errflow, exhaustenum, nilfacade) built on internal/lint/cfg, the
-// interprocedural tier (detreach, privtaint, spawnleak, plus
-// nilfacade's summary-driven upgrade) built on internal/lint/callgraph
-// and internal/lint/summary, the concurrency tier (locksafe,
-// chanowner, ctxflow) built on the lockset/escape summaries and the
-// graph's spawn edges, and the deadlock tier (lockorder, blockhold)
-// built on the acquisition-order and blocking-under-lock facts.
+// interprocedural tier (privtaint, spawnleak, plus nilfacade's
+// summary-driven upgrade) built on internal/lint/callgraph and
+// internal/lint/summary, the concurrency tier (locksafe, chanowner)
+// built on the lockset/escape summaries and the graph's spawn edges,
+// and the deadlock tier (blockhold) built on the blocking-under-lock
+// facts.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		AngleUnits,
 		BlockHold,
 		ChanOwner,
-		CtxFlow,
-		DetReach,
 		DurationSeconds,
 		ErrFlow,
 		ExhaustEnum,
 		LatLonBounds,
-		LockedMap,
-		LockOrder,
 		LockSafe,
 		NilFacade,
 		PrivTaint,
@@ -62,21 +60,18 @@ type Finding struct {
 	// privtaint uses it for the hops of a source→sink witness path,
 	// locksafe for the two-path race witness.
 	Related []RelatedFinding `json:"related,omitempty"`
-	// Suppressed is "" for an active finding, "inSource" for one
-	// silenced by a //lint:ignore directive, "baseline" for one matched
-	// against an accepted-findings baseline file. Suppressed findings
-	// stay in reports (SARIF carries them as suppressions) but do not
-	// fail the run.
+	// Suppressed is "" for an active finding and "inSource" for one
+	// silenced by a //lint:ignore directive. Suppressed findings stay in
+	// reports (SARIF carries them as suppressions) but do not fail the
+	// run.
 	Suppressed string `json:"suppressed,omitempty"`
 	// Justification is the free-text tail of the ignore directive.
 	Justification string `json:"justification,omitempty"`
 }
 
-// Suppression kinds, matching SARIF's suppression vocabulary.
-const (
-	SuppressedInSource = "inSource" // //lint:ignore directive
-	SuppressedBaseline = "baseline" // matched an accepted-findings baseline
-)
+// SuppressedInSource marks a finding silenced by a //lint:ignore
+// directive, in SARIF's suppression vocabulary.
+const SuppressedInSource = "inSource"
 
 // Active reports whether the finding should fail a lint run.
 func (f Finding) Active() bool { return f.Suppressed == "" }
@@ -92,15 +87,6 @@ type RelatedFinding struct {
 // String renders the finding in the conventional file:line:col form.
 func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s [%s]", f.File, f.Line, f.Column, f.Message, f.Analyzer)
-}
-
-// Run applies every analyzer to every package and returns the combined
-// findings sorted by position. The whole-program view is built over the
-// given packages only; drivers that have a loader should prefer
-// BuildProgram with a lookup so dependency packages join the call
-// graph too.
-func Run(pkgs []*loader.Package, analyzers []*analysis.Analyzer) ([]Finding, error) {
-	return BuildProgram(pkgs, nil).Run(analyzers)
 }
 
 // ignoreSet records, per file and line, the //lint:ignore directives

@@ -6,9 +6,7 @@ import (
 	"locwatch/internal/lint/analysis"
 )
 
-// PrivTaint is the privacy counterpart of detreach: where detreach
-// guards what flows *into* the deterministic pipeline (ambient clock
-// bits), privtaint guards what flows *out* of it — raw coordinates.
+// PrivTaint guards what flows *out* of the pipeline: raw coordinates.
 // The paper's whole attack works because apps casually emit location
 // fixes through innocuous channels (logs, error strings, JSON blobs);
 // this analyzer makes that a compile-time finding for locwatch itself.

@@ -17,8 +17,9 @@ import (
 // every module-local dependency the loader has already type-checked.
 // It is handed to each analyzer through analysis.Pass.Program, the
 // shim's stand-in for x/tools' Requires/ResultOf facts machinery. The
-// interprocedural analyzers (nilfacade, detreach, spawnleak) consult
-// it; the syntactic and CFG tiers ignore it.
+// interprocedural analyzers (nilfacade, privtaint, spawnleak) and the
+// concurrency and deadlock tiers consult it; the syntactic tier and
+// the CFG-only analyzers ignore it.
 type Program struct {
 	// Targets are the packages findings are reported for. Dependency
 	// packages participate in the graph and summaries but are not
@@ -27,12 +28,6 @@ type Program struct {
 
 	Graph *callgraph.Graph
 	Sums  *summary.Set
-
-	// detreach state, computed lazily on first use and shared across
-	// the per-package passes of one run.
-	detReady bool
-	detRoots []*callgraph.Node
-	detReach map[*callgraph.Node]bool
 
 	// concurrency-tier state (locksafe/chanowner), computed lazily on
 	// first use and shared across the per-package passes of one run.
@@ -171,8 +166,8 @@ func (p *Program) Run(analyzers []*analysis.Analyzer) ([]Finding, error) {
 // in the Related chain, so findings agreeing on analyzer, position and
 // message are one defect. The sort is a total order — ties on the
 // primary key fall through to the witness chains — so the survivor of
-// each duplicate group is deterministic, keeping SARIF output and
-// baseline fingerprints stable across runs and cache replays.
+// each duplicate group is deterministic, keeping SARIF output stable
+// across runs and cache replays.
 func finalizeFindings(all []Finding) []Finding {
 	sortFindings(all)
 	out := all[:0]

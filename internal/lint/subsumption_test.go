@@ -10,14 +10,12 @@ import (
 // fixturePacks are the package sets the analyzer tests load, one per
 // analysistest.Run call in analyzers_test.go.
 var fixturePacks = [][]string{
-	{"latlonbounds"}, {"geo"}, {"angleunits"}, {"lockedmap"},
+	{"latlonbounds"}, {"geo"},
 	{"durationseconds"}, {"exhaustenum"}, {"exhaustenum_sentinel"},
 	{"nilfacade"}, {"nilfacade/core"}, {"errflow"},
-	{"detreach/mobility", "detreach/util", "detreach/experiments",
-		"detreach/geo", "detreach/obs", "detreach/app"},
 	{"privtaint/app", "privtaint/report", "privtaint/trace"},
-	{"spawnleak"}, {"locksafe"}, {"chanowner"}, {"ctxflow"},
-	{"lockorder", "lockorder/other", "lockorder/core"}, {"blockhold"},
+	{"spawnleak"}, {"locksafe"}, {"chanowner"},
+	{"blockhold"},
 }
 
 // TestSubsumption keeps the roster free of analyzers that only restate

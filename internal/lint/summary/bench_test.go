@@ -41,7 +41,7 @@ func BenchmarkTaintSummaries(b *testing.B) {
 // BenchmarkConcSummaries times the same full summary pass over the
 // concurrency fixture — lockset dataflow per function plus the
 // SCC-ordered channel/blocking fixpoint — the per-module cost the
-// locksafe/chanowner/ctxflow tier adds to a lint run.
+// locksafe/chanowner tier adds to a lint run.
 func BenchmarkConcSummaries(b *testing.B) {
 	ld := loader.New(loader.SrcDir("testdata/src"))
 	pkg, err := ld.Load("conc")

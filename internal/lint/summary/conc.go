@@ -1,5 +1,5 @@
 // Concurrency summaries: the third per-SCC fixpoint, computing per
-// function the facts the locksafe/chanowner/ctxflow analyzers consume.
+// function the facts the concurrency and deadlock analyzers consume.
 //
 // The heart is an intraprocedural lockset dataflow over the
 // internal/lint/cfg basic blocks. The lattice value per program point
@@ -142,38 +142,6 @@ type BlockSite struct {
 	ReadHeld []*types.Var
 }
 
-// LockAcq is one mutex the function may acquire on its caller's
-// goroutine, directly or transitively through calls. Read marks RLock
-// acquisitions. Pos is the acquisition (or callsite) position in this
-// function; Via the call chain to the acquiring function, empty for
-// direct acquisitions. Only identity-shared locks (struct fields,
-// package-level variables) are recorded — a callee's locals are fresh
-// per call and cannot participate in a cross-function order.
-type LockAcq struct {
-	Lock *types.Var
-	Pos  token.Pos
-	Read bool
-	Via  []Hop
-	// SitePos is the ultimate Lock/RLock call, preserved through
-	// propagation (Pos becomes the local callsite anchor).
-	SitePos token.Pos
-}
-
-// OrderEdge records that Before was must-held when After was acquired:
-// one edge of the global lock-order graph. A self-edge (Before ==
-// After) is a double acquisition. BeforeRead/AfterRead carry the
-// read/write flavor of each side; Via is the call chain to the
-// acquisition when the edge crosses calls, empty for direct ones.
-type OrderEdge struct {
-	Before, After         *types.Var
-	BeforeRead, AfterRead bool
-	Pos                   token.Pos
-	Via                   []Hop
-	// AfterSite is the ultimate acquisition of After (== Pos for direct
-	// edges, the deep Lock/RLock call for propagated ones).
-	AfterSite token.Pos
-}
-
 // ConcFacts is the concurrency summary of one function.
 type ConcFacts struct {
 	Accesses []FieldAccess
@@ -200,19 +168,6 @@ type ConcFacts struct {
 	Blocking []BlockSite
 	MayBlock bool
 	BlockVia []Hop
-
-	// Acquires are the mutexes the function may lock on its caller's
-	// goroutine, transitively through calls; OrderEdges the
-	// held-before-acquired pairs observed anywhere in the function
-	// (goroutine literals included — their acquisitions order locks
-	// too, which is exactly how cross-goroutine deadlocks form). Both
-	// feed the lockorder analyzer's global order graph.
-	Acquires   []LockAcq
-	OrderEdges []OrderEdge
-
-	// UsesCtxDone reports that the body consults ctx.Done/Err/Deadline
-	// somewhere — the function is manifestly cancellation-aware.
-	UsesCtxDone bool
 }
 
 // --- type classification helpers ---
@@ -261,9 +216,9 @@ func isSyncOrAtomic(t types.Type) bool {
 	return false
 }
 
-// IsContextType reports whether t is context.Context (by package name
+// isContextType reports whether t is context.Context (by package name
 // so analysistest stubs work).
-func IsContextType(t types.Type) bool {
+func isContextType(t types.Type) bool {
 	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
@@ -284,7 +239,7 @@ func recordableField(v *types.Var) bool {
 		return false
 	}
 	t := v.Type()
-	if isSyncOrAtomic(t) || isChan(t) || IsContextType(t) {
+	if isSyncOrAtomic(t) || isChan(t) || isContextType(t) {
 		return false
 	}
 	return true
@@ -624,10 +579,6 @@ func (e *concEval) prescanSelect(sel *ast.SelectStmt, inGo bool) {
 func (e *concEval) prescanCall(call *ast.CallExpr, inGo bool) {
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		switch sel.Sel.Name {
-		case "Done", "Err", "Deadline":
-			if t := e.info.TypeOf(sel.X); IsContextType(t) {
-				e.out.UsesCtxDone = true
-			}
 		case "Wait":
 			if v := tokenVar(e.info, sel.X); v != nil {
 				if isWaitGroup(v.Type()) {
@@ -666,7 +617,7 @@ func (e *concEval) isCtxDoneRecv(x ast.Expr) bool {
 	if !ok || sel.Sel.Name != "Done" {
 		return false
 	}
-	return IsContextType(e.info.TypeOf(sel.X))
+	return isContextType(e.info.TypeOf(sel.X))
 }
 
 func (e *concEval) addBlocking(pos token.Pos, what string, inGo bool) {
@@ -694,52 +645,6 @@ func (e *concEval) markBlock(pos token.Pos, st *lockState) {
 		b.Held = append([]*types.Var(nil), st.must...)
 		b.ReadHeld = append([]*types.Var(nil), st.reads...)
 	}
-}
-
-// recordAcquire logs a direct Lock/RLock: the acquisition itself (for
-// the transitive Acquires set — shared locks only, and only on the
-// caller's goroutine) and one order edge per must-held lock. A lock
-// already in the must-set yields a self-edge, a double acquisition.
-func (e *concEval) recordAcquire(v *types.Var, pos token.Pos, read bool, st *lockState) {
-	if !e.cur.inGo && SharedLockVar(v) {
-		e.out.Acquires = addAcquire(e.out.Acquires, LockAcq{Lock: v, Pos: pos, Read: read, SitePos: pos})
-	}
-	for _, h := range st.must {
-		e.out.OrderEdges = addOrderEdge(e.out.OrderEdges, OrderEdge{
-			Before: h, After: v,
-			BeforeRead: containsVar(st.reads, h), AfterRead: read,
-			Pos: pos, AfterSite: pos,
-		})
-	}
-}
-
-// SharedLockVar reports whether v names a lock shared across functions
-// by identity: a struct field or a package-level variable. Locals are
-// fresh per call and stay out of the cross-function order graph.
-func SharedLockVar(v *types.Var) bool {
-	if v.IsField() {
-		return true
-	}
-	return v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
-}
-
-func addAcquire(acqs []LockAcq, a LockAcq) []LockAcq {
-	for _, prev := range acqs {
-		if prev.Lock == a.Lock && prev.Read == a.Read {
-			return acqs
-		}
-	}
-	return append(acqs, a)
-}
-
-func addOrderEdge(edges []OrderEdge, ed OrderEdge) []OrderEdge {
-	for _, prev := range edges {
-		if prev.Before == ed.Before && prev.After == ed.After &&
-			prev.BeforeRead == ed.BeforeRead && prev.AfterRead == ed.AfterRead {
-			return edges
-		}
-	}
-	return append(edges, ed)
 }
 
 // --- the CFG-driven lockset walk ---
@@ -986,9 +891,6 @@ func (e *concEval) callOp(call *ast.CallExpr, st *lockState, rec bool, asGo bool
 			switch sel.Sel.Name {
 			case "Lock", "RLock":
 				read := sel.Sel.Name == "RLock"
-				if rec {
-					e.recordAcquire(v, call.Pos(), read, st)
-				}
 				st.must = appendVars(st.must, []*types.Var{v})
 				st.may = appendVars(st.may, []*types.Var{v})
 				if read {
@@ -1066,7 +968,7 @@ func (e *concEval) recordCall(call *ast.CallExpr, st *lockState, asGo bool) {
 	}
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		cc.RecvRoot = rootIdx(sel.X)
-		if IsContextType(e.info.TypeOf(sel.X)) {
+		if isContextType(e.info.TypeOf(sel.X)) {
 			cc.PassesCtx = true
 		}
 		cc.RecvAlias = aliasable(e.info.TypeOf(sel.X))
@@ -1075,7 +977,7 @@ func (e *concEval) recordCall(call *ast.CallExpr, st *lockState, asGo bool) {
 	for _, arg := range call.Args {
 		root := rootIdx(arg)
 		cc.ArgRoots = append(cc.ArgRoots, root)
-		if IsContextType(e.info.TypeOf(arg)) {
+		if isContextType(e.info.TypeOf(arg)) {
 			cc.PassesCtx = true
 		}
 		cc.ArgAlias = append(cc.ArgAlias, aliasable(e.info.TypeOf(arg)))
@@ -1249,29 +1151,6 @@ func (c *computer) concFlow(n *callgraph.Node) bool {
 				f.Conc.MayBlock = true
 				f.Conc.BlockVia = append([]Hop{{Name: callee.Name(), Pos: call.Pos}}, cf.Conc.BlockVia...)
 				changed = true
-			}
-			// Lock acquisitions flow up calls on the caller's own
-			// goroutine, and every lock held at the callsite orders
-			// before everything the callee may acquire — including a
-			// self-edge when the callee re-locks a held mutex.
-			if !call.InGo {
-				for _, acq := range cf.Conc.Acquires {
-					via := append([]Hop{{Name: callee.Name(), Pos: call.Pos}}, acq.Via...)
-					before := len(f.Conc.Acquires)
-					f.Conc.Acquires = addAcquire(f.Conc.Acquires, LockAcq{
-						Lock: acq.Lock, Pos: call.Pos, Read: acq.Read, Via: via, SitePos: acq.SitePos,
-					})
-					changed = changed || len(f.Conc.Acquires) != before
-					for _, h := range call.Held {
-						nEdges := len(f.Conc.OrderEdges)
-						f.Conc.OrderEdges = addOrderEdge(f.Conc.OrderEdges, OrderEdge{
-							Before: h, After: acq.Lock,
-							BeforeRead: containsVar(call.ReadHeld, h), AfterRead: acq.Read,
-							Pos: call.Pos, Via: via, AfterSite: acq.SitePos,
-						})
-						changed = changed || len(f.Conc.OrderEdges) != nEdges
-					}
-				}
 			}
 			// Escape bits substitute through the argument→parameter map.
 			for slot, callerParam := range calleeSlots(call, callee) {

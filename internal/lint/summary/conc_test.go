@@ -166,66 +166,9 @@ func TestConcCallBits(t *testing.T) {
 	}
 }
 
-// TestConcLockOrder pins the deadlock-tier facts: direct and
-// call-crossing order edges, transitive Acquires with witness hops,
-// self-edges for double locks, and locksets on blocking sites.
-func TestConcLockOrder(t *testing.T) {
-	s := loadConc(t)
-	findEdge := func(f summary.ConcFacts, before, after string) *summary.OrderEdge {
-		for i, ed := range f.OrderEdges {
-			if ed.Before.Name() == before && ed.After.Name() == after {
-				return &f.OrderEdges[i]
-			}
-		}
-		return nil
-	}
-	ab := facts(t, s, "Two).OrderAB").Conc
-	if findEdge(ab, "a", "b") == nil {
-		t.Errorf("OrderAB edges = %+v, want a→b", ab.OrderEdges)
-	}
-	if !hasVar(acquiredVars(ab), "a") || !hasVar(acquiredVars(ab), "b") {
-		t.Errorf("OrderAB acquires = %+v, want a and b", ab.Acquires)
-	}
-	via := facts(t, s, "Two).OrderVia").Conc
-	ed := findEdge(via, "a", "b")
-	if ed == nil {
-		t.Fatalf("OrderVia edges = %+v, want a→b through lockB", via.OrderEdges)
-	}
-	if len(ed.Via) == 0 || !strings.Contains(ed.Via[0].Name, "lockB") {
-		t.Errorf("OrderVia a→b Via = %+v, want a hop through lockB", ed.Via)
-	}
-	if !hasVar(acquiredVars(via), "b") {
-		t.Errorf("OrderVia acquires = %+v, want b transitively", via.Acquires)
-	}
-	tw := facts(t, s, "Two).Twice").Conc
-	if findEdge(tw, "a", "a") == nil {
-		t.Errorf("Twice edges = %+v, want the a→a self-edge", tw.OrderEdges)
-	}
-	sl := facts(t, s, "LQ).SendLocked").Conc
-	if len(sl.Blocking) != 1 || !hasVar(sl.Blocking[0].Held, "mu") {
-		t.Errorf("SendLocked blocking = %+v, want one site holding mu", sl.Blocking)
-	}
-	sr := facts(t, s, "LQ).SendRead").Conc
-	if len(sr.Blocking) != 1 || !hasVar(sr.Blocking[0].ReadHeld, "rw") {
-		t.Errorf("SendRead blocking = %+v, want one site read-holding rw", sr.Blocking)
-	}
-	gr := facts(t, s, "LQ).GoRecv").Conc
-	if gr.MayBlock {
-		t.Error("GoRecv must not be may-block: its only site is goroutine-side")
-	}
-	if len(gr.Blocking) != 1 || !gr.Blocking[0].InGo {
-		t.Errorf("GoRecv blocking = %+v, want one InGo site", gr.Blocking)
-	}
-}
-
-func acquiredVars(f summary.ConcFacts) []*types.Var {
-	var vs []*types.Var
-	for _, a := range f.Acquires {
-		vs = append(vs, a.Lock)
-	}
-	return vs
-}
-
+// TestConcBlocking pins the blocking facts blockhold reads: direct and
+// transitive may-block with its witness hop, ctx-guarded selects that
+// do not block, and the locksets captured at each blocking site.
 func TestConcBlocking(t *testing.T) {
 	s := loadConc(t)
 	w := facts(t, s, "conc.Wait").Conc
@@ -240,14 +183,28 @@ func TestConcBlocking(t *testing.T) {
 		t.Errorf("CallsWait BlockVia = %+v, want a hop through Wait", cw.BlockVia)
 	}
 	g := facts(t, s, "conc.Good").Conc
-	if !g.UsesCtxDone {
-		t.Error("Good must be marked cancellation-aware")
-	}
 	if len(g.Blocking) != 0 {
 		t.Errorf("Good Blocking = %v; a select with a ctx.Done case is not a block site", g.Blocking)
 	}
-	sl := facts(t, s, "conc.Sleepy").Conc
-	if len(sl.Blocking) == 0 || !strings.Contains(sl.Blocking[0].What, "Sleep") {
-		t.Errorf("Sleepy Blocking = %+v, want a time.Sleep site", sl.Blocking)
+	sleepy := facts(t, s, "conc.Sleepy").Conc
+	if len(sleepy.Blocking) == 0 || !strings.Contains(sleepy.Blocking[0].What, "Sleep") {
+		t.Errorf("Sleepy Blocking = %+v, want a time.Sleep site", sleepy.Blocking)
+	}
+	// Blocking sites capture the locks held at them, read-locked ones
+	// included; a goroutine-side site does not make its spawner block.
+	sl := facts(t, s, "LQ).SendLocked").Conc
+	if len(sl.Blocking) != 1 || !hasVar(sl.Blocking[0].Held, "mu") {
+		t.Errorf("SendLocked blocking = %+v, want one site holding mu", sl.Blocking)
+	}
+	sr := facts(t, s, "LQ).SendRead").Conc
+	if len(sr.Blocking) != 1 || !hasVar(sr.Blocking[0].ReadHeld, "rw") {
+		t.Errorf("SendRead blocking = %+v, want one site read-holding rw", sr.Blocking)
+	}
+	gr := facts(t, s, "LQ).GoRecv").Conc
+	if gr.MayBlock {
+		t.Error("GoRecv must not be may-block: its only site is goroutine-side")
+	}
+	if len(gr.Blocking) != 1 || !gr.Blocking[0].InGo {
+		t.Errorf("GoRecv blocking = %+v, want one InGo site", gr.Blocking)
 	}
 }

@@ -1,8 +1,8 @@
 // Package summary computes bottom-up per-function facts over a
 // callgraph.Graph: may-return-nil (with the "nil only alongside a
-// non-nil error" correlation constructors promise), calls-wall-clock,
-// spawns-goroutine, mutates-receiver, and the WaitGroup/channel tokens
-// a goroutine join protocol is built from.
+// non-nil error" correlation constructors promise), the WaitGroup/
+// channel tokens a goroutine join protocol is built from, location
+// taint (taint.go) and the concurrency facts (conc.go).
 //
 // The lattice is boolean and monotone (facts only flip false→true), so
 // one pass over the SCC condensation in callee-first order, iterating
@@ -11,10 +11,7 @@
 // Facts are deliberately optimistic where the program is opaque: a call
 // into an unanalyzed package is assumed to return non-nil and a
 // function parameter is assumed non-nil (the caller's analysis handles
-// its own locals). Clock facts stop at the observe-only `obs` boundary:
-// DESIGN §8 licenses obs to read the wall clock precisely because it
-// never changes emitted bits, so neither obs-internal clock reads nor
-// calls into obs taint callers.
+// its own locals).
 package summary
 
 import (
@@ -36,22 +33,6 @@ type Facts struct {
 	// result — the constructor contract callers rely on when they
 	// check err before using the pointer.
 	NilOnlyWithError bool
-
-	// CallsClock reports that the function transitively reads the wall
-	// clock or global (unseeded) randomness. ClockVia names one direct
-	// witness source for diagnostics, e.g. "time.Now" (set only on the
-	// function containing the direct call, not on transitive callers).
-	CallsClock bool
-	ClockVia   string
-
-	// Spawns reports that the function (or a closure inside it) starts
-	// a goroutine.
-	Spawns bool
-
-	// MutatesReceiver reports that a method assigns through its
-	// receiver, directly or by calling a mutating method on the same
-	// named type.
-	MutatesReceiver bool
 
 	// Tokens are the join-protocol operations in the function body:
 	// which WaitGroups it Waits on or Dones, which channels it closes
@@ -124,42 +105,6 @@ func (s *Set) Of(fn *types.Func) *Facts {
 // OfNode returns the facts for a graph node.
 func (s *Set) OfNode(n *callgraph.Node) *Facts { return s.facts[n] }
 
-// ObserveOnly reports whether pkg is an observe-only instrumentation
-// package (DESIGN §8): clock facts neither originate in nor propagate
-// out of it. Matching is by package name so analysistest stubs work.
-func ObserveOnly(pkg *types.Package) bool {
-	return pkg != nil && pkg.Name() == "obs"
-}
-
-// ClockSource returns a display name ("time.Now", "math/rand.Intn")
-// when fn is a wall-clock or unseeded-randomness source, else "".
-// Seeded generators (rand.New, rand.NewSource, methods on *rand.Rand)
-// are not sources: the determinism contract is about ambient state.
-func ClockSource(fn *types.Func) string {
-	if fn == nil || fn.Pkg() == nil {
-		return ""
-	}
-	if fn.Type().(*types.Signature).Recv() != nil {
-		return "" // methods (e.g. (*rand.Rand).Intn, time.Time.Add) are fine
-	}
-	switch fn.Pkg().Path() {
-	case "time":
-		switch fn.Name() {
-		case "Now", "Since", "Until":
-			return "time." + fn.Name()
-		}
-	case "math/rand", "math/rand/v2":
-		// Global-state funcs only; constructors for seeded generators
-		// (New, NewSource, NewZipf…) are the sanctioned alternative.
-		if len(fn.Name()) < 3 || fn.Name()[:3] != "New" {
-			return fn.Pkg().Path() + "." + fn.Name()
-		}
-	case "crypto/rand":
-		return "crypto/rand." + fn.Name()
-	}
-	return ""
-}
-
 // Compute runs the summary pass over every node of g.
 func Compute(g *callgraph.Graph) *Set {
 	s := &Set{Graph: g, facts: make(map[*callgraph.Node]*Facts, len(g.Nodes()))}
@@ -168,7 +113,7 @@ func Compute(g *callgraph.Graph) *Set {
 	for _, n := range g.Nodes() {
 		s.facts[n] = c.directFacts(n)
 	}
-	// Then the bottom-up fixpoints over the condensation: the boolean
+	// Then the bottom-up fixpoints over the condensation: the nilness
 	// facts, the location-taint lattice, and the concurrency lattice
 	// (independent lattices, so they converge separately; all are
 	// monotone).
@@ -176,7 +121,7 @@ func Compute(g *callgraph.Graph) *Set {
 		for changed := true; changed; {
 			changed = false
 			for _, n := range scc {
-				if c.propagate(n) {
+				if c.resultFacts(n, s.facts[n]) {
 					changed = true
 				}
 			}
@@ -217,77 +162,12 @@ func (c *computer) directFacts(n *callgraph.Node) *Facts {
 	sig := n.Func.Type().(*types.Signature)
 	f.ResultMayNil = make([]bool, sig.Results().Len())
 
-	if !ObserveOnly(n.Func.Pkg()) {
-		for _, ext := range n.External {
-			if src := ClockSource(ext.Fn); src != "" && !f.CallsClock {
-				f.CallsClock = true
-				f.ClockVia = src
-			}
-		}
-	}
 	if n.Decl.Body == nil {
 		return f
 	}
-	info := n.Pkg.TypesInfo
-	var recv *types.Var
-	if sig.Recv() != nil && n.Decl.Recv != nil && len(n.Decl.Recv.List) == 1 && len(n.Decl.Recv.List[0].Names) == 1 {
-		recv, _ = info.Defs[n.Decl.Recv.List[0].Names[0]].(*types.Var)
-	}
-	ast.Inspect(n.Decl.Body, func(m ast.Node) bool {
-		switch m := m.(type) {
-		case *ast.GoStmt:
-			f.Spawns = true
-		case *ast.AssignStmt:
-			if recv != nil {
-				for _, lhs := range m.Lhs {
-					if rootVar(info, lhs) == recv {
-						f.MutatesReceiver = true
-					}
-				}
-			}
-		case *ast.IncDecStmt:
-			if recv != nil && rootVar(info, m.X) == recv {
-				f.MutatesReceiver = true
-			}
-		}
-		return true
-	})
-	f.Tokens = ScanTokens(info, n.Decl.Body)
+	f.Tokens = ScanTokens(n.Pkg.TypesInfo, n.Decl.Body)
 	f.Conc = c.concScan(n)
 	return f
-}
-
-// propagate folds callee facts into n. Returns true when n changed.
-func (c *computer) propagate(n *callgraph.Node) bool {
-	f := c.set.facts[n]
-	changed := false
-	selfObs := ObserveOnly(n.Func.Pkg())
-	for _, e := range n.Out {
-		cf := c.set.facts[e.Callee]
-		if cf == nil {
-			continue
-		}
-		// Clock facts do not cross into or out of the obs boundary.
-		if cf.CallsClock && !f.CallsClock && !selfObs && !ObserveOnly(e.Callee.Func.Pkg()) {
-			f.CallsClock = true
-			changed = true
-		}
-		// Receiver mutation propagates across methods of one type:
-		// setX calling setY on the same receiver mutates too.
-		if cf.MutatesReceiver && !f.MutatesReceiver && sameReceiverType(n, e.Callee) {
-			f.MutatesReceiver = true
-			changed = true
-		}
-	}
-	if c.resultFacts(n, f) {
-		changed = true
-	}
-	return changed
-}
-
-func sameReceiverType(a, b *callgraph.Node) bool {
-	ra, rb := a.RecvName(), b.RecvName()
-	return ra != "" && ra == rb && a.Func.Pkg() == b.Func.Pkg()
 }
 
 // rootVar peels selector/index/star/paren chains down to the base

@@ -94,44 +94,6 @@ func Leaker() {
 	s.Push(6)
 }
 
-// Two carries the lock-order shapes: a acquired before b directly, and
-// through a call.
-type Two struct {
-	a, b sync.Mutex
-	n    int
-}
-
-// OrderAB locks a then b: a direct a→b order edge and two acquires.
-func (t *Two) OrderAB() {
-	t.a.Lock()
-	defer t.a.Unlock()
-	t.b.Lock()
-	t.n++
-	t.b.Unlock()
-}
-
-func (t *Two) lockB() {
-	t.b.Lock()
-	t.n++
-	t.b.Unlock()
-}
-
-// OrderVia holds a across a call that locks b: the a→b edge crosses
-// the call with a witness hop, and b joins OrderVia's Acquires.
-func (t *Two) OrderVia() {
-	t.a.Lock()
-	defer t.a.Unlock()
-	t.lockB()
-}
-
-// Twice re-locks a held mutex: a self-edge.
-func (t *Two) Twice() {
-	t.a.Lock()
-	t.a.Lock()
-	t.a.Unlock()
-	t.a.Unlock()
-}
-
 // LQ pins the blocking-site lockset capture.
 type LQ struct {
 	mu sync.Mutex

@@ -1,43 +1,13 @@
-// Package sum is the summary-pass unit-test fixture: clock taint and
-// its obs boundary, may-nil results and the error correlation, spawn
-// and drain tokens, and receiver mutation.
+// Package sum is the summary-pass unit-test fixture: may-nil results
+// and the error correlation, and spawn and drain tokens.
 package sum
 
 import (
 	"errors"
-	"math/rand"
 	"sync"
-	"time"
-
-	"sum/obs"
 )
 
-type T struct{ n int }
-
-// clockInt reads the wall clock directly.
-func clockInt() int {
-	return int(time.Now().Unix())
-}
-
-// viaClock is tainted transitively.
-func viaClock() int {
-	return clockInt() + 1
-}
-
-// globalRand uses ambient randomness.
-func globalRand() int {
-	return rand.Intn(7)
-}
-
-// seededRand uses an explicit generator — not a source.
-func seededRand(seed int64) int {
-	return rand.New(rand.NewSource(seed)).Intn(7)
-}
-
-// observed calls into the observe-only package: no taint.
-func observed() {
-	obs.Note()
-}
+type T struct{}
 
 // MaybeNil has a nil path; Wraps inherits it; Fresh never returns nil.
 func MaybeNil(ok bool) *T {
@@ -95,11 +65,3 @@ func (p *Pool) Close() {
 	close(p.tasks)
 	p.wg.Wait()
 }
-
-// setN mutates its receiver; bump does so only transitively.
-func (t *T) setN(n int) { t.n = n }
-
-func (t *T) bump() { t.setN(t.n + 1) }
-
-// get reads without mutating.
-func (t *T) get() int { return t.n }

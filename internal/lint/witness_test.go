@@ -20,7 +20,7 @@ func TestLockSafeWitnessPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := lint.Run([]*loader.Package{pkg}, []*analysis.Analyzer{lint.LockSafe})
+	findings, err := lint.BuildProgram([]*loader.Package{pkg}, nil).Run([]*analysis.Analyzer{lint.LockSafe})
 	if err != nil {
 		t.Fatal(err)
 	}

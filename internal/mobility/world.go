@@ -393,10 +393,6 @@ func (w *World) genVenues(rng *rand.Rand) {
 	}
 }
 
-// CampusCenter returns the campus anchor (zero LatLon when the world
-// has no campus population).
-func (w *World) CampusCenter() geo.LatLon { return w.campusCenter }
-
 func (w *World) randomCityPoint(rng *rand.Rand, spread float64) geo.LatLon {
 	// sqrt for uniform density over the disc.
 	r := math.Sqrt(rng.Float64()) * w.cfg.CityRadius * spread

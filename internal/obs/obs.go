@@ -18,7 +18,7 @@
 // which keeps the disabled fast path to one predictable branch per
 // call. Wall-clock reads happen only inside this package (Timer,
 // Span), keeping the deterministic simulation packages free of
-// time.Now for the detreach analyzer.
+// time.Now.
 package obs
 
 import (

@@ -102,7 +102,7 @@ func TestPropertyBothExtractorsAgreeOnStayCountsRoughly(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sp, err := ExtractStayPoints(trace.NewSliceSource(b.pts), DefaultParams())
+		sp, err := extractStayPoints(trace.NewSliceSource(b.pts), DefaultParams())
 		if err != nil {
 			return false
 		}

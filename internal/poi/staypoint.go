@@ -3,7 +3,6 @@ package poi
 import (
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"locwatch/internal/geo"
@@ -93,27 +92,4 @@ func (e *StayPointExtractor) flushGroup() {
 func (e *StayPointExtractor) Flush() {
 	e.flushGroup()
 	e.any = false
-}
-
-// ExtractStayPoints runs the baseline over an entire source.
-func ExtractStayPoints(src trace.Source, params Params) ([]StayPoint, error) {
-	var out []StayPoint
-	ex, err := NewStayPointExtractor(params, func(s StayPoint) { out = append(out, s) })
-	if err != nil {
-		return nil, err
-	}
-	for {
-		p, err := src.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if err := ex.Feed(p); err != nil {
-			return nil, err
-		}
-	}
-	ex.Flush()
-	return out, nil
 }

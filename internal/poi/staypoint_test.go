@@ -25,7 +25,7 @@ func TestStayPointExtractorBasic(t *testing.T) {
 		stay(20*time.Minute, 5).
 		walk(work, 1.4).
 		stay(20*time.Minute, 5)
-	stays, err := ExtractStayPoints(b.source(), DefaultParams())
+	stays, err := extractStayPoints(b.source(), DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestStayPointExtractorAgreesWithBufferOnCleanTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline, err := ExtractStayPoints(trace.NewSliceSource(b.pts), DefaultParams())
+	baseline, err := extractStayPoints(trace.NewSliceSource(b.pts), DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestStayPointExtractorShortStopIgnored(t *testing.T) {
 		walk(placeAt(90, 1000), 1.4).
 		stay(4*time.Minute, 5).
 		walk(placeAt(90, 2000), 1.4)
-	stays, err := ExtractStayPoints(b.source(), DefaultParams())
+	stays, err := extractStayPoints(b.source(), DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestStayPointExtractorGapSplits(t *testing.T) {
 		stay(20*time.Minute, 5).
 		gap(13*time.Hour).
 		stay(20*time.Minute, 5)
-	stays, err := ExtractStayPoints(b.source(), DefaultParams())
+	stays, err := extractStayPoints(b.source(), DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +105,25 @@ func TestStayPointExtractorOutOfOrder(t *testing.T) {
 
 func TestStayPointExtractorTrailingFlush(t *testing.T) {
 	b := newBuilder(origin, time.Second, 35).stay(15*time.Minute, 5)
-	stays, err := ExtractStayPoints(b.source(), DefaultParams())
+	stays, err := extractStayPoints(b.source(), DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(stays) != 1 {
 		t.Fatalf("trailing stay not flushed: %d", len(stays))
 	}
+}
+
+// extractStayPoints runs the stay-point baseline over an entire source.
+func extractStayPoints(src trace.Source, params Params) ([]StayPoint, error) {
+	var out []StayPoint
+	ex, err := NewStayPointExtractor(params, func(s StayPoint) { out = append(out, s) })
+	if err != nil {
+		return nil, err
+	}
+	if err := trace.ForEach(src, ex.Feed); err != nil {
+		return nil, err
+	}
+	ex.Flush()
+	return out, nil
 }

@@ -15,7 +15,7 @@
 //     LocationScrubber) with its redacted rendering — so even a caller
 //     that forgets to scrub cannot push a raw coordinate through a
 //     privlog formatting function.
-//   - Categorized errors. New/Newf build errors carrying a component
+//   - Categorized errors. New builds errors carrying a component
 //     and a Category (config, parse, io, network, sim, internal), with
 //     optional key/value context; context values pass through Scrub.
 //     The result unwraps normally, so errors.Is/As keep working (the
@@ -77,8 +77,8 @@ func (c Category) String() string {
 	}
 }
 
-// Error is a categorized, scrubbed error. Build one with New or Newf;
-// the zero value is not meaningful.
+// Error is a categorized, scrubbed error. Build one with New; the zero
+// value is not meaningful.
 type Error struct {
 	category  Category
 	component string
@@ -149,13 +149,6 @@ type Builder struct {
 // only error).
 func New(err error) *Builder {
 	return &Builder{e: Error{err: err}}
-}
-
-// Newf starts a builder with a formatted message. Arguments are
-// scrubbed before formatting, so a raw coordinate in args comes out
-// redacted.
-func Newf(format string, args ...any) *Builder {
-	return &Builder{e: Error{msg: fmt.Sprintf(format, ScrubArgs(args)...)}}
 }
 
 // Component names the subsystem the error belongs to ("poi",

@@ -152,7 +152,8 @@ func StreamRun(ctx context.Context, w *mobility.World, cfg stream.Config, rcfg s
 	if err != nil {
 		return nil, err
 	}
-	//lint:ignore ctxflow teardown must drain whatever the replay enqueued; abandoning it on cancel would leak the shard goroutines
+	// Teardown ignores ctx: it must drain whatever the replay enqueued,
+	// and abandoning it on cancel would leak the shard goroutines.
 	defer func() { _ = eng.Close() }()
 	if _, err := stream.Replay(ctx, eng, w, rcfg); err != nil {
 		return nil, err
@@ -179,23 +180,6 @@ func StreamRun(ctx context.Context, w *mobility.World, cfg stream.Config, rcfg s
 		run.Risks[id] = risk
 	}
 	return run, nil
-}
-
-// Diff runs both sides and returns the batch run plus the first
-// divergence (nil when byte-identical).
-func Diff(ctx context.Context, w *mobility.World, cfg stream.Config, rcfg stream.ReplayConfig) (*Run, error) {
-	batch, err := BatchRun(w, cfg, rcfg.Interval, rcfg.Users)
-	if err != nil {
-		return nil, err
-	}
-	streamed, err := StreamRun(ctx, w, cfg, rcfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := batch.Equal(streamed); err != nil {
-		return nil, err
-	}
-	return batch, nil
 }
 
 func allUsers(w *mobility.World) []int {

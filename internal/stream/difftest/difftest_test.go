@@ -116,8 +116,8 @@ func TestGoldenQuickShardSweep(t *testing.T) {
 	}
 }
 
-// TestDiffSmallWorld runs the combined Diff entry point on a small
-// population so the harness itself is exercised in -short runs too.
+// TestDiffSmallWorld runs both sides of the harness on a small
+// population so it is exercised in -short runs too.
 func TestDiffSmallWorld(t *testing.T) {
 	mc := mobility.DefaultConfig()
 	mc.Users = 6
@@ -128,8 +128,15 @@ func TestDiffSmallWorld(t *testing.T) {
 	}
 	cfg := stream.Config{Anchor: mc.CityCenter, Shards: 3}
 	rcfg := stream.ReplayConfig{Interval: 30 * time.Second, MinBatch: 1, MaxBatch: 97, Seed: 3, EvictEvery: 20}
-	run, err := Diff(context.Background(), w, cfg, rcfg)
+	run, err := BatchRun(w, cfg, rcfg.Interval, rcfg.Users)
 	if err != nil {
+		t.Fatal(err)
+	}
+	streamed, err := StreamRun(context.Background(), w, cfg, rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run.Equal(streamed); err != nil {
 		t.Fatal(err)
 	}
 	if len(run.Profiles) != mc.Users {

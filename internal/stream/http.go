@@ -203,7 +203,9 @@ func NewServer(addr string, e *Engine, reg *obs.Registry, logger *privlog.Logger
 // second. The engine error wins only if HTTP drained cleanly.
 func (s *Server) Shutdown(ctx context.Context) error {
 	httpErr := s.HTTP.Shutdown(ctx)
-	//lint:ignore ctxflow the engine drain is bounded by already-queued work and must complete: every 202-acknowledged ingest has to reach shard state
+	// The engine drain ignores ctx: it is bounded by already-queued
+	// work and must complete, since every 202-acknowledged ingest has
+	// to reach shard state.
 	engErr := s.Engine.Close()
 	if httpErr != nil {
 		return httpErr

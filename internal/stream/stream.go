@@ -113,7 +113,6 @@ func (c Config) WithDefaults() Config {
 		c.QueueDepth = 64
 	}
 	if c.MaxBatch <= 0 {
-		//lint:ignore locksafe value-receiver copy, defaulted inside New before any shard goroutine exists; the engine's cfg is never written after construction
 		c.MaxBatch = 4096
 	}
 	if c.RecomputeEvery <= 0 {
@@ -412,7 +411,7 @@ func (e *Engine) eachShard(ctx context.Context, op func(*shard)) error {
 			wg.Done()
 		}
 	}
-	//lint:ignore ctxflow,blockhold the barrier must not abandon submitted ops: each op was accepted under ctx, the shards drain without taking Engine.mu, so Wait is bounded by queued work and the held read lock only fences off Close
+	//lint:ignore blockhold the barrier must not abandon submitted ops: each op was accepted under ctx, the shards drain without taking Engine.mu, so Wait is bounded by queued work and the held read lock only fences off Close
 	wg.Wait()
 	return errors.Join(errs...)
 }
