@@ -167,8 +167,8 @@ func TestConcCallBits(t *testing.T) {
 }
 
 // TestConcBlocking pins the blocking facts blockhold reads: direct and
-// transitive may-block with its witness hop, ctx-guarded selects that
-// do not block, and the locksets captured at each blocking site.
+// transitive may-block with its witness hop, and ctx-guarded selects
+// that do not block.
 func TestConcBlocking(t *testing.T) {
 	s := loadConc(t)
 	w := facts(t, s, "conc.Wait").Conc
@@ -190,8 +190,13 @@ func TestConcBlocking(t *testing.T) {
 	if len(sleepy.Blocking) == 0 || !strings.Contains(sleepy.Blocking[0].What, "Sleep") {
 		t.Errorf("Sleepy Blocking = %+v, want a time.Sleep site", sleepy.Blocking)
 	}
-	// Blocking sites capture the locks held at them, read-locked ones
-	// included; a goroutine-side site does not make its spawner block.
+}
+
+// TestConcLockOrder pins the deadlock-tier facts that remain: the
+// locks held at each blocking site, read-locked ones included, and a
+// goroutine-side site that does not make its spawner block.
+func TestConcLockOrder(t *testing.T) {
+	s := loadConc(t)
 	sl := facts(t, s, "LQ).SendLocked").Conc
 	if len(sl.Blocking) != 1 || !hasVar(sl.Blocking[0].Held, "mu") {
 		t.Errorf("SendLocked blocking = %+v, want one site holding mu", sl.Blocking)
