@@ -13,8 +13,9 @@ test:
 
 ## check is the CI gate: formatting, go vet, the domain lint suite,
 ## the full test suite under the race detector, short fuzz runs over
-## every parser that consumes untrusted input, and a known-vulnerability
-## scan when the environment supports one.
+## every parser that consumes untrusted input and every bit-identity
+## oracle, and a known-vulnerability scan when the environment supports
+## one.
 check: fmt vet lint race fuzz vuln
 
 fmt:
@@ -49,12 +50,17 @@ cover:
 	$(GO) test -cover -covermode=atomic -coverprofile=coverage.out ./... | tee coverage-summary.txt
 	$(GO) tool cover -func=coverage.out | tail -n 1
 
-# Ten-second fuzz passes over the three untrusted-input parsers:
-# market page scraping, dumpsys battery output, and PLT trace files.
+# Ten-second fuzz passes over the three untrusted-input parsers
+# (market page scraping, dumpsys battery output, PLT trace files) and
+# the two bit-identity oracles: the geo batch kernels against their
+# scalar forms, and the merge-join histogram comparison against the
+# union-map alignment it replaced.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzExtractManifest -fuzztime $(FUZZTIME) ./internal/market
 	$(GO) test -run '^$$' -fuzz FuzzParseDumpsys -fuzztime $(FUZZTIME) ./internal/android
 	$(GO) test -run '^$$' -fuzz FuzzRead -fuzztime $(FUZZTIME) ./internal/trace/plt
+	$(GO) test -run '^$$' -fuzz FuzzBatchKernelsBitIdentical -fuzztime $(FUZZTIME) ./internal/geo
+	$(GO) test -run '^$$' -fuzz FuzzCompareBitIdentical -fuzztime $(FUZZTIME) ./internal/stats
 
 # Known-vulnerability scan. govulncheck needs both its binary and the
 # database at https://vuln.go.dev, so environments missing either skip

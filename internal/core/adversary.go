@@ -43,15 +43,21 @@ type Identification struct {
 // matches freshly collected location data against them to identify the
 // data's owner.
 type Adversary struct {
-	profiles  []*Profile
-	weighting Weighting
-	alpha     float64
+	profiles []*Profile
+	// Each profile's histograms, frozen once by NewAdversary. Identify
+	// tests against movement under PatternMovement and against region
+	// under any other pattern, Profile.Histogram's fallback.
+	region, movement []stats.Frozen
+	weighting        Weighting
+	alpha            float64
 }
 
 // NewAdversary returns an adversary holding the given profiles. All
 // profiles must share an anchor and parameters (they come from the same
 // pipeline); weighting and alpha are taken from the first profile's
-// params.
+// params. NewAdversary reads each profile's histograms once and keeps
+// them frozen, so the profiles must be finalized (built by BuildProfile
+// or ProfileBuilder.Profile) and must not be fed afterwards.
 func NewAdversary(profiles []*Profile) (*Adversary, error) {
 	if len(profiles) == 0 {
 		return nil, errors.New("core: adversary needs at least one profile")
@@ -67,11 +73,18 @@ func NewAdversary(profiles []*Profile) (*Adversary, error) {
 				i, privlog.ScrubLatLon(p.Anchor()), privlog.ScrubLatLon(profiles[0].Anchor()))
 		}
 	}
-	return &Adversary{
+	a := &Adversary{
 		profiles:  profiles,
+		region:    make([]stats.Frozen, len(profiles)),
+		movement:  make([]stats.Frozen, len(profiles)),
 		weighting: profiles[0].Params().Weighting,
 		alpha:     profiles[0].Params().Alpha,
-	}, nil
+	}
+	for i, p := range profiles {
+		a.region[i] = p.Histogram(PatternRegion).Freeze()
+		a.movement[i] = p.Histogram(PatternMovement).Freeze()
+	}
+	return a, nil
 }
 
 // NumProfiles returns the size of the adversary's collection.
@@ -80,16 +93,23 @@ func (a *Adversary) NumProfiles() int { return len(a.profiles) }
 // Identify matches the observed data against every profile under the
 // given pattern and computes the posterior and anonymity degree.
 // Profiles that are unusable under the pattern simply never match.
+// Each candidate's result is the one its Profile.Compare gives; the
+// pattern-1 observation is built once per call, not per candidate.
 func (a *Adversary) Identify(observed *Profile, pattern Pattern) (Identification, error) {
 	id := Identification{
 		Candidates: make([]Candidate, len(a.profiles)),
 		Posterior:  make([]float64, len(a.profiles)),
 		MaxEntropy: stats.MaxEntropy(len(a.profiles)),
 	}
+	refs := a.movement
+	var region stats.Frozen
+	if pattern != PatternMovement {
+		refs, region = a.region, observed.regionObservation()
+	}
 	weights := make([]float64, len(a.profiles))
 	for i, prof := range a.profiles {
 		c := Candidate{Index: i}
-		g, err := prof.Compare(observed, pattern)
+		g, err := prof.compare(refs[i], observed, region, pattern)
 		switch {
 		case errors.Is(err, ErrNoProfile):
 			// Unusable or insufficient data: cannot match.

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"errors"
 	"math"
+	"strconv"
 	"testing"
 
 	"locwatch/internal/geo"
+	"locwatch/internal/stats"
 	"locwatch/internal/trace"
 )
 
@@ -195,5 +198,108 @@ func TestAdversaryThinObservationNeverMatches(t *testing.T) {
 	}
 	if id.Matches != 0 {
 		t.Fatalf("empty observation matched %d profiles", id.Matches)
+	}
+}
+
+// observations returns a thin observation of user 0 of population,
+// below both evidence minimums, and a thick one of eight fresh days of
+// the same routine, above both.
+func observations(t testing.TB) (thin, thick *Profile) {
+	t.Helper()
+	home, work, leisure := at(0, 2000), at(0, 5000), at(0, 3500)
+	thin = mustProfile(t, commuteTrace(900, 8, home, work, leisure)[:50])
+	thick = mustProfile(t, commuteTrace(901, 8, home, work, leisure))
+	return thin, thick
+}
+
+func TestIdentifyAgreesWithCompare(t *testing.T) {
+	// Every candidate's outcome in Identify is its own Compare's, under
+	// both patterns and an out-of-range one (which falls back to
+	// pattern 1), for an observation below the evidence minimums and
+	// one above them. The empty last candidate is unusable.
+	profiles := append(population(t, 6), mustProfile(t, nil))
+	adv, err := NewAdversary(profiles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alpha := profiles[0].Params().Alpha
+	thin, thick := observations(t)
+	for _, obs := range []struct {
+		name     string
+		p        *Profile
+		wantTest bool // some candidate yields a test result
+	}{{"thin", thin, false}, {"thick", thick, true}} {
+		for _, pattern := range []Pattern{PatternRegion, PatternMovement, Pattern(7)} {
+			id, err := adv.Identify(obs.p, pattern)
+			if err != nil {
+				t.Fatalf("%s %v: %v", obs.name, pattern, err)
+			}
+			tested := false
+			for i, prof := range profiles {
+				c := id.Candidates[i]
+				g, err := prof.Compare(obs.p, pattern)
+				if err != nil && !errors.Is(err, ErrNoProfile) {
+					t.Fatalf("%s %v candidate %d: Compare: %v", obs.name, pattern, i, err)
+				}
+				if c.Result != g {
+					t.Fatalf("%s %v candidate %d: Identify result %+v, Compare %+v", obs.name, pattern, i, c.Result, g)
+				}
+				if want := err == nil && g.Match(alpha); c.Matched != want {
+					t.Fatalf("%s %v candidate %d: Matched = %v, Compare gives %v (err %v)", obs.name, pattern, i, c.Matched, want, err)
+				}
+				tested = tested || err == nil
+			}
+			if tested != obs.wantTest {
+				t.Fatalf("%s %v: some candidate tested = %v, want %v", obs.name, pattern, tested, obs.wantTest)
+			}
+		}
+	}
+}
+
+func TestCompareDegenerateIsNoProfile(t *testing.T) {
+	// A reference with 60 equal regions has every category below the 2%
+	// pooling share, so the test pools to one category and is
+	// degenerate: Compare reports it as both errors.
+	ref := mustProfile(t, commuteTrace(40, 2, anchor, at(60, 4000), at(150, 2500)))
+	ref.regionHist = stats.NewHistogram()
+	for i := 0; i < 60; i++ {
+		ref.regionHist.Add("r"+strconv.Itoa(i), 10)
+	}
+	_, thick := observations(t)
+	_, err := ref.Compare(thick, PatternRegion)
+	if !errors.Is(err, ErrNoProfile) || !errors.Is(err, stats.ErrDegenerate) {
+		t.Fatalf("Compare against an all-pooled reference: %v, want ErrNoProfile and stats.ErrDegenerate", err)
+	}
+}
+
+// identifySink keeps BenchmarkIdentify's result live.
+var identifySink Identification
+
+// BenchmarkIdentify scores one observation against 182 candidates, the
+// size of locwatchd's reference set, under both patterns: thin is below
+// the evidence minimums (every candidate stops at the gate), thick is
+// above them (every usable candidate runs a chi-square test).
+func BenchmarkIdentify(b *testing.B) {
+	adv, err := NewAdversary(population(b, 182))
+	if err != nil {
+		b.Fatal(err)
+	}
+	thin, thick := observations(b)
+	for _, obs := range []struct {
+		name string
+		p    *Profile
+	}{{"thin", thin}, {"thick", thick}} {
+		for _, pattern := range []Pattern{PatternRegion, PatternMovement} {
+			b.Run(obs.name+"/"+pattern.String(), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					id, err := adv.Identify(obs.p, pattern)
+					if err != nil {
+						b.Fatal(err)
+					}
+					identifySink = id
+				}
+			})
+		}
 	}
 }

@@ -295,8 +295,11 @@ func (p *Profile) Histogram(pattern Pattern) *stats.Histogram {
 // chi-square reference under the given pattern.
 func (p *Profile) Usable(pattern Pattern) bool {
 	h := p.Histogram(pattern)
-	return h.Len() >= 2 && h.Total() >= 2
+	return usable(h.Len(), h.Total())
 }
+
+// usable is Usable's rule on a histogram's key count and mass.
+func usable(keys int, total float64) bool { return keys >= 2 && total >= 2 }
 
 // RegionOf returns the pattern-1 region identifier of a position under
 // this profile's anchor and cell size.
@@ -360,14 +363,13 @@ func (p *Profile) movementObservedAgainst(observed *Profile) *stats.Histogram {
 	return h
 }
 
-// evidence returns the observed mass available for a test under the
-// given pattern and the minimum required by the parameters.
-func (p *Profile) evidence(obs *stats.Histogram, pattern Pattern) (have, need float64) {
-	if pattern == PatternMovement {
-		return obs.Total(), p.params.MinTransitionEvidence
-	}
-	return obs.Total(), p.params.MinPointEvidence
-}
+// Two ways a usable reference still yields no test. Both are built
+// once: Identify meets them for most candidates while an observation
+// is thin, and callers only test them with errors.Is.
+var (
+	errThinEvidence = fmt.Errorf("%w: observed mass below the minimum evidence", ErrNoProfile)
+	errDegenerate   = fmt.Errorf("%w: %w", ErrNoProfile, stats.ErrDegenerate)
+)
 
 // Compare runs the His_bin chi-square test of an observed profile
 // against this reference profile under the given pattern. The observed
@@ -377,33 +379,47 @@ func (p *Profile) evidence(obs *stats.Histogram, pattern Pattern) (have, need fl
 // unusable under the pattern or the observation has not yet reached
 // the minimum evidence for a meaningful test.
 func (p *Profile) Compare(observed *Profile, pattern Pattern) (stats.GoodnessOfFit, error) {
-	if !p.Usable(pattern) {
+	var region stats.Frozen
+	if pattern != PatternMovement {
+		region = observed.regionObservation()
+	}
+	return p.compare(p.Histogram(pattern).Freeze(), observed, region, pattern)
+}
+
+// regionObservation returns the pattern-1 histogram as the observed
+// side of a test: frozen, and scaled for the design effect.
+// Consecutive fixes are heavily autocorrelated (a user parked at home
+// for eight hours is one observation of "home", not ten thousand), so
+// the histogram keeps its point-level *proportions* but is scaled down
+// to the effective sample size — the number of region sojourns.
+// Without this the test has unbounded power and rejects every profile,
+// including the user's own, on any cross-window drift.
+func (p *Profile) regionObservation() stats.Frozen {
+	obs := p.Histogram(PatternRegion).Freeze()
+	if p.points > 0 && p.sojourns > 0 && p.sojourns < p.points {
+		obs = obs.Scaled(float64(p.sojourns) / float64(p.points))
+	}
+	return obs
+}
+
+// compare is Compare with this profile's histogram under pattern
+// already frozen as ref, and, under any pattern but pattern 2, the
+// observation already built as region by regionObservation.
+func (p *Profile) compare(ref stats.Frozen, observed *Profile, region stats.Frozen, pattern Pattern) (stats.GoodnessOfFit, error) {
+	if !usable(ref.Len(), ref.Total()) {
 		return stats.GoodnessOfFit{}, ErrNoProfile
 	}
-	var obs *stats.Histogram
+	obs, need := region, p.params.MinPointEvidence
 	if pattern == PatternMovement {
-		obs = p.movementObservedAgainst(observed)
-	} else {
-		// Design-effect correction: consecutive fixes are heavily
-		// autocorrelated (a user parked at home for eight hours is one
-		// observation of "home", not ten thousand), so the observed
-		// histogram keeps its point-level *proportions* but is scaled
-		// down to the effective sample size — the number of region
-		// sojourns. Without this the test has unbounded power and
-		// rejects every profile, including the user's own, on any
-		// cross-window drift.
-		obs = observed.Histogram(pattern)
-		if observed.points > 0 && observed.sojourns > 0 && observed.sojourns < observed.points {
-			obs = obs.Scaled(float64(observed.sojourns) / float64(observed.points))
-		}
+		obs, need = p.movementObservedAgainst(observed).Freeze(), p.params.MinTransitionEvidence
 	}
-	if have, need := p.evidence(obs, pattern); have < need {
-		return stats.GoodnessOfFit{}, fmt.Errorf("%w: %v observed mass, need %v", ErrNoProfile, have, need)
+	if obs.Total() < need {
+		return stats.GoodnessOfFit{}, errThinEvidence
 	}
-	g, err := stats.CompareHistograms(obs, p.Histogram(pattern), p.params.Smoothing, p.params.PoolShare, p.params.Tail)
+	g, err := stats.CompareHistograms(obs, ref, p.params.Smoothing, p.params.PoolShare, p.params.Tail)
 	if err != nil {
 		if errors.Is(err, stats.ErrDegenerate) {
-			return stats.GoodnessOfFit{}, fmt.Errorf("%w: %v", ErrNoProfile, err)
+			return stats.GoodnessOfFit{}, errDegenerate
 		}
 		return stats.GoodnessOfFit{}, err
 	}

@@ -59,32 +59,6 @@ func (h *Histogram) Keys() []string {
 	return keys
 }
 
-// Clone returns a deep copy.
-func (h *Histogram) Clone() *Histogram {
-	c := &Histogram{counts: make(map[string]float64, len(h.counts)), total: h.total}
-	for k, v := range h.counts {
-		c.counts[k] = v
-	}
-	return c
-}
-
-// Scaled returns a copy of the histogram with every count multiplied
-// by factor (which must be positive; otherwise the clone is returned
-// unscaled). Scaling the observed histogram to an effective sample size
-// is how the privacy model applies a design-effect correction for
-// autocorrelated samples.
-func (h *Histogram) Scaled(factor float64) *Histogram {
-	c := h.Clone()
-	if factor <= 0 || factor == 1 {
-		return c
-	}
-	for k := range c.counts {
-		c.counts[k] *= factor
-	}
-	c.total *= factor
-	return c
-}
-
 // Reset empties the histogram in place, retaining allocated capacity.
 func (h *Histogram) Reset() {
 	for k := range h.counts {
@@ -93,31 +67,76 @@ func (h *Histogram) Reset() {
 	h.total = 0
 }
 
-// Aligned materializes observed-vs-expected count vectors over the
-// union of the two histograms' keys, in sorted key order. Keys present
-// only in obs get expected count 0 (and are then subject to
-// ChiSquareTest's zero-expectation skipping); keys present only in exp
-// get observed count 0. The returned keys slice parallels both vectors.
-func Aligned(obs, exp *Histogram) (keys []string, observed, expected []float64) {
-	seen := make(map[string]struct{}, obs.Len()+exp.Len())
-	for k := range obs.counts {
-		seen[k] = struct{}{}
-	}
-	for k := range exp.counts {
-		seen[k] = struct{}{}
-	}
-	keys = make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	observed = make([]float64, len(keys))
-	expected = make([]float64, len(keys))
+// Frozen is an immutable snapshot of a Histogram with its keys in
+// ascending order: the form CompareHistograms aligns on. Freezing sorts
+// the keys once; each comparison then merge-joins two frozen forms in
+// time linear in their key counts, so a reference frozen once serves
+// any number of tests without sorting again. The zero value is an
+// empty histogram.
+type Frozen struct {
+	keys   []string  // ascending, distinct
+	counts []float64 // counts[i] is the count of keys[i]
+	total  float64
+}
+
+// Freeze returns the histogram's frozen snapshot. The total is the
+// histogram's running sum, not a re-summation, so it carries the same
+// bits as Total.
+func (h *Histogram) Freeze() Frozen {
+	keys := h.Keys()
+	counts := make([]float64, len(keys))
 	for i, k := range keys {
-		observed[i] = obs.Count(k)
-		expected[i] = exp.Count(k)
+		counts[i] = h.counts[k]
 	}
-	return keys, observed, expected
+	return Frozen{keys: keys, counts: counts, total: h.total}
+}
+
+// Len returns the number of distinct keys.
+func (f Frozen) Len() int { return len(f.keys) }
+
+// Total returns the sum of all counts.
+func (f Frozen) Total() float64 { return f.total }
+
+// Scaled returns a copy with every count and the total multiplied by
+// factor (which must be positive; otherwise f is returned unscaled, as
+// it is for factor 1). Scaling the observed histogram to an effective
+// sample size is how the privacy model applies a design-effect
+// correction for autocorrelated samples. The copy shares f's keys.
+func (f Frozen) Scaled(factor float64) Frozen {
+	if factor <= 0 || factor == 1 {
+		return f
+	}
+	counts := make([]float64, len(f.counts))
+	for i, c := range f.counts {
+		counts[i] = c * factor
+	}
+	return Frozen{keys: f.keys, counts: counts, total: f.total * factor}
+}
+
+// aligned merge-joins obs and exp into observed-vs-expected count
+// vectors over the union of their keys, in ascending key order. Keys
+// present only in obs get expected count 0 (and are then subject to
+// ChiSquareTest's zero-expectation skipping); keys present only in exp
+// get observed count 0.
+func aligned(obs, exp Frozen) (observed, expected []float64) {
+	n := len(obs.keys) + len(exp.keys)
+	buf := make([]float64, 2*n) // zeroed: the side a key is absent from reads 0
+	observed, expected = buf[:n:n], buf[n:]
+	k := 0
+	for i, j := 0, 0; i < len(obs.keys) || j < len(exp.keys); k++ {
+		switch {
+		case j == len(exp.keys) || i < len(obs.keys) && obs.keys[i] < exp.keys[j]:
+			observed[k] = obs.counts[i]
+			i++
+		case i == len(obs.keys) || exp.keys[j] < obs.keys[i]:
+			expected[k] = exp.counts[j]
+			j++
+		default:
+			observed[k], expected[k] = obs.counts[i], exp.counts[j]
+			i, j = i+1, j+1
+		}
+	}
+	return observed[:k], expected[:k]
 }
 
 // CompareHistograms runs the chi-square goodness-of-fit test of obs
@@ -131,8 +150,8 @@ func Aligned(obs, exp *Histogram) (keys []string, observed, expected []float64) 
 // are pooled into a single residual category (on both sides) before the
 // test, which keeps the degrees of freedom honest when the reference
 // has a long tail of rare categories.
-func CompareHistograms(obs, exp *Histogram, smoothing, poolShare float64, tail Tail) (GoodnessOfFit, error) {
-	_, observed, expected := Aligned(obs, exp)
+func CompareHistograms(obs, exp Frozen, smoothing, poolShare float64, tail Tail) (GoodnessOfFit, error) {
+	observed, expected := aligned(obs, exp)
 	if smoothing > 0 {
 		for i := range expected {
 			expected[i] += smoothing

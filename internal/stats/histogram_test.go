@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -48,17 +50,18 @@ func TestHistogramZeroValueUsable(t *testing.T) {
 	}
 }
 
-func TestHistogramCloneIndependent(t *testing.T) {
+func TestHistogramFreezeIndependent(t *testing.T) {
 	h := NewHistogram()
-	h.Add("a", 2)
-	c := h.Clone()
-	c.Inc("a")
-	c.Inc("b")
-	if h.Count("a") != 2 || h.Len() != 1 {
-		t.Fatal("Clone shares state with original")
+	h.Add("b", 2)
+	h.Add("a", 1)
+	f := h.Freeze()
+	h.Inc("a")
+	h.Inc("c")
+	if f.Len() != 2 || f.Total() != 3 {
+		t.Fatalf("frozen form follows its histogram: %d keys, total %v", f.Len(), f.Total())
 	}
-	if c.Count("a") != 3 || c.Total() != 4 {
-		t.Fatal("Clone lost state")
+	if len(f.keys) != 2 || f.keys[0] != "a" || f.keys[1] != "b" || f.counts[0] != 1 || f.counts[1] != 2 {
+		t.Fatalf("frozen form = %v %v, want [a b] [1 2]", f.keys, f.counts)
 	}
 }
 
@@ -82,13 +85,14 @@ func TestAligned(t *testing.T) {
 	exp := NewHistogram()
 	exp.Add("a", 10)
 	exp.Add("b", 20)
-	keys, o, e := Aligned(obs, exp)
-	if len(keys) != 3 || keys[0] != "a" || keys[1] != "b" || keys[2] != "c" {
-		t.Fatalf("keys = %v", keys)
-	}
+	o, e := aligned(obs.Freeze(), exp.Freeze())
+	// Union keys a, b, c in order, 0 on the side a key is absent from.
 	wantO := []float64{1, 0, 3}
 	wantE := []float64{10, 20, 0}
-	for i := range keys {
+	if len(o) != 3 || len(e) != 3 {
+		t.Fatalf("aligned obs=%v exp=%v, want 3 categories", o, e)
+	}
+	for i := range wantO {
 		if o[i] != wantO[i] || e[i] != wantE[i] {
 			t.Fatalf("aligned obs=%v exp=%v", o, e)
 		}
@@ -96,7 +100,8 @@ func TestAligned(t *testing.T) {
 }
 
 func TestAlignedTotalInvariant(t *testing.T) {
-	// Property: alignment preserves both totals, whatever the key sets.
+	// Property: alignment preserves both totals, whatever the key sets,
+	// and the merge-join gives the union-map oracle's vectors.
 	f := func(aKeys, bKeys []uint8) bool {
 		obs := NewHistogram()
 		exp := NewHistogram()
@@ -106,7 +111,11 @@ func TestAlignedTotalInvariant(t *testing.T) {
 		for _, k := range bKeys {
 			exp.Inc(string(rune('a' + k%26)))
 		}
-		_, o, e := Aligned(obs, exp)
+		o, e := aligned(obs.Freeze(), exp.Freeze())
+		_, wantO, wantE := alignedOracle(obs, exp)
+		if !floatsBitEq(o, wantO) || !floatsBitEq(e, wantE) {
+			return false
+		}
 		var so, se float64
 		for i := range o {
 			so += o[i]
@@ -124,7 +133,7 @@ func TestCompareHistogramsSelfMatch(t *testing.T) {
 	h.Add("home→work", 40)
 	h.Add("work→home", 38)
 	h.Add("home→gym", 10)
-	g, err := CompareHistograms(h, h, 0, 0, TailUpper)
+	g, err := CompareHistograms(h.Freeze(), h.Freeze(), 0, 0, TailUpper)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +152,11 @@ func TestCompareHistogramsSmoothingCatchesNovelKeys(t *testing.T) {
 	exp.Add("a", 50)
 	exp.Add("b", 50)
 
-	unsmoothed, err := CompareHistograms(obs, exp, 0, 0, TailUpper)
+	unsmoothed, err := CompareHistograms(obs.Freeze(), exp.Freeze(), 0, 0, TailUpper)
 	if err != nil {
 		t.Fatal(err)
 	}
-	smoothed, err := CompareHistograms(obs, exp, 0.5, 0, TailUpper)
+	smoothed, err := CompareHistograms(obs.Freeze(), exp.Freeze(), 0.5, 0, TailUpper)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +184,7 @@ func TestCompareHistogramsSubsampleMatches(t *testing.T) {
 	for i := 0; i < 120; i++ {
 		obs.Inc(keys[sampleIndex(rng, probs)])
 	}
-	g, err := CompareHistograms(obs, exp, 0.5, 0, TailUpper)
+	g, err := CompareHistograms(obs.Freeze(), exp.Freeze(), 0.5, 0, TailUpper)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,11 +308,11 @@ func BenchmarkCompareHistograms(b *testing.B) {
 	for i := 0; i < 60; i++ {
 		exp.Add(string(rune('A'+i%26))+string(rune('a'+i/26)), rng.Float64()*50+1)
 	}
-	obs := exp.Clone()
+	f := exp.Freeze()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CompareHistograms(obs, exp, 0.5, 0, TailUpper); err != nil {
+		if _, err := CompareHistograms(f, f, 0.5, 0, TailUpper); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -313,23 +322,24 @@ func TestHistogramScaled(t *testing.T) {
 	h := NewHistogram()
 	h.Add("a", 10)
 	h.Add("b", 30)
-	s := h.Scaled(0.25)
-	if s.Count("a") != 2.5 || s.Count("b") != 7.5 || s.Total() != 10 {
-		t.Fatalf("Scaled(0.25): %v/%v total %v", s.Count("a"), s.Count("b"), s.Total())
+	f := h.Freeze()
+	s := f.Scaled(0.25)
+	if s.counts[0] != 2.5 || s.counts[1] != 7.5 || s.Total() != 10 {
+		t.Fatalf("Scaled(0.25): %v total %v", s.counts, s.Total())
 	}
 	// Original untouched.
-	if h.Count("a") != 10 || h.Total() != 40 {
+	if f.counts[0] != 10 || f.Total() != 40 {
 		t.Fatal("Scaled mutated the original")
 	}
-	// Factor 1 and non-positive factors return an unscaled clone.
-	if c := h.Scaled(1); c.Total() != 40 {
+	// Factor 1 and non-positive factors return the form unscaled.
+	if c := f.Scaled(1); c.Total() != 40 {
 		t.Fatal("Scaled(1) changed mass")
 	}
-	if c := h.Scaled(0); c.Total() != 40 {
-		t.Fatal("Scaled(0) should clone unscaled")
+	if c := f.Scaled(0); c.Total() != 40 {
+		t.Fatal("Scaled(0) should return the form unscaled")
 	}
-	if c := h.Scaled(-2); c.Total() != 40 {
-		t.Fatal("Scaled(-2) should clone unscaled")
+	if c := f.Scaled(-2); c.Total() != 40 {
+		t.Fatal("Scaled(-2) should return the form unscaled")
 	}
 }
 
@@ -342,13 +352,13 @@ func TestCompareHistogramsPooling(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		exp.Add(string(rune('a'+i)), 1) // 20 categories at ~0.1% each
 	}
-	obs := exp.Clone()
+	f := exp.Freeze()
 
-	unpooled, err := CompareHistograms(obs, exp, 0, 0, TailUpper)
+	unpooled, err := CompareHistograms(f, f, 0, 0, TailUpper)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pooled, err := CompareHistograms(obs, exp, 0, 0.02, TailUpper)
+	pooled, err := CompareHistograms(f, f, 0, 0.02, TailUpper)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,4 +392,143 @@ func TestPoolingPreservesMass(t *testing.T) {
 	if len(pObs) != 3 { // 50, 47, pool(1+1+1)
 		t.Fatalf("pooled to %d categories, want 3", len(pObs))
 	}
+}
+
+// alignedOracle is the union-map alignment CompareHistograms ran before
+// frozen forms: gather both key sets in a map, sort the union, and look
+// every key up on both sides. The merge-join must reproduce it bit for
+// bit.
+func alignedOracle(obs, exp *Histogram) (keys []string, observed, expected []float64) {
+	seen := make(map[string]struct{}, obs.Len()+exp.Len())
+	for k := range obs.counts {
+		seen[k] = struct{}{}
+	}
+	for k := range exp.counts {
+		seen[k] = struct{}{}
+	}
+	keys = make([]string, 0, len(seen))
+	for k := range seen {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	observed = make([]float64, len(keys))
+	expected = make([]float64, len(keys))
+	for i, k := range keys {
+		observed[i] = obs.Count(k)
+		expected[i] = exp.Count(k)
+	}
+	return keys, observed, expected
+}
+
+// scaledOracle is Frozen.Scaled on the map form: copy the counts, then
+// multiply each count and the total by factor unless factor ≤ 0 or
+// factor == 1.
+func scaledOracle(h *Histogram, factor float64) *Histogram {
+	c := &Histogram{counts: make(map[string]float64, len(h.counts)), total: h.total}
+	for k, v := range h.counts {
+		c.counts[k] = v
+	}
+	if factor <= 0 || factor == 1 {
+		return c
+	}
+	for k := range c.counts {
+		c.counts[k] *= factor
+	}
+	c.total *= factor
+	return c
+}
+
+// compareOracle is CompareHistograms on the union-map alignment.
+func compareOracle(obs, exp *Histogram, smoothing, poolShare float64, tail Tail) (GoodnessOfFit, error) {
+	_, observed, expected := alignedOracle(obs, exp)
+	if smoothing > 0 {
+		for i := range expected {
+			expected[i] += smoothing
+		}
+	}
+	if poolShare > 0 {
+		observed, expected = poolSmallCategories(observed, expected, poolShare)
+	}
+	return ChiSquareTest(observed, expected, tail)
+}
+
+// fuzzHistogram decodes spec as 3-byte entries: a key byte and a
+// big-endian count in eighths. Keys are one or two letters from an
+// eight-letter alphabet, so key sets overlap and a key can prefix
+// another; a zero count is dropped by Add, as it is in the profiles.
+func fuzzHistogram(spec []byte) *Histogram {
+	h := NewHistogram()
+	for ; len(spec) >= 3; spec = spec[3:] {
+		k := spec[0]
+		key := string([]byte{'a' + k%8, 'a' + k/8%8})[:1+int(k/64%2)]
+		h.Add(key, float64(uint16(spec[1])<<8|uint16(spec[2]))/8)
+	}
+	return h
+}
+
+// floatsBitEq reports whether two vectors hold the same float bits.
+func floatsBitEq(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzCompareBitIdentical fuzzes the merge-join comparison against the
+// union-map oracle. For any two key sets and counts, any scale factor
+// on the observed side, smoothing 0 or 0.5 and pooling off or at 2%,
+// the frozen path must give the oracle's scaled total (total*factor),
+// its aligned vectors, and its GoodnessOfFit and error. Floats are
+// compared by their bits, which is == except that a NaN on both sides
+// agrees.
+func FuzzCompareBitIdentical(f *testing.F) {
+	f.Add([]byte{}, []byte{}, 0.5, false, false)                                                     // empty
+	f.Add([]byte{0, 0, 9, 1, 0, 30}, []byte{2, 0, 14, 67, 1, 3}, 0.25, true, false)                  // disjoint
+	f.Add([]byte{0, 0, 9, 65, 0, 30, 3, 2, 0}, []byte{0, 0, 9, 65, 0, 30, 3, 2, 0}, 1.0, true, true) // identical
+	f.Add([]byte{0, 0, 40, 1, 0, 16, 64, 0, 8}, []byte{}, 0.3, true, true)                           // observed only
+	f.Add([]byte{}, []byte{0, 0, 40, 1, 0, 16, 64, 0, 8}, 2.0, false, true)                          // expected only
+	f.Fuzz(func(t *testing.T, obsSpec, expSpec []byte, factor float64, smooth, pool bool) {
+		obs, exp := fuzzHistogram(obsSpec), fuzzHistogram(expSpec)
+		var smoothing, poolShare float64
+		if smooth {
+			smoothing = 0.5
+		}
+		if pool {
+			poolShare = 0.02
+		}
+
+		scaled, want := obs.Freeze().Scaled(factor), scaledOracle(obs, factor)
+		wantTotal := obs.Total()
+		if factor > 0 && factor != 1 {
+			wantTotal *= factor
+		}
+		if math.Float64bits(scaled.Total()) != math.Float64bits(wantTotal) ||
+			math.Float64bits(want.Total()) != math.Float64bits(wantTotal) {
+			t.Fatalf("scaled total %v, oracle %v, want total*factor = %v", scaled.Total(), want.Total(), wantTotal)
+		}
+
+		ref := exp.Freeze()
+		gotO, gotE := aligned(scaled, ref)
+		_, wantO, wantE := alignedOracle(want, exp)
+		if !floatsBitEq(gotO, wantO) || !floatsBitEq(gotE, wantE) {
+			t.Fatalf("aligned %v / %v, oracle %v / %v", gotO, gotE, wantO, wantE)
+		}
+
+		got, gotErr := CompareHistograms(scaled, ref, smoothing, poolShare, TailUpper)
+		wantG, wantErr := compareOracle(want, exp, smoothing, poolShare, TailUpper)
+		if math.Float64bits(got.Statistic) != math.Float64bits(wantG.Statistic) ||
+			got.DF != wantG.DF ||
+			math.Float64bits(got.PValue) != math.Float64bits(wantG.PValue) ||
+			got.Tail != wantG.Tail {
+			t.Fatalf("CompareHistograms = %+v, oracle %+v", got, wantG)
+		}
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || errors.Is(gotErr, ErrDegenerate) != errors.Is(wantErr, ErrDegenerate) {
+			t.Fatalf("CompareHistograms error %v, oracle %v", gotErr, wantErr)
+		}
+	})
 }

@@ -42,8 +42,9 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// maxBodyBytes bounds an ingest body: the wire form of a fix is well
-// under 96 bytes, so MaxBatch fixes fit with generous slack.
+// fixWireBytes is the per-fix share of the ingest body bound: the wire
+// form of a fix is well under 96 bytes, so MaxBatch fixes fit with
+// generous slack.
 const fixWireBytes = 96
 
 // NewMux routes the service API onto the engine:

@@ -191,6 +191,9 @@ func NewCombinedDetector(reference *Profile) (*CombinedDetector, error) {
 }
 
 // NewAdversary holds candidate profiles for identification attacks.
+// It reads each candidate's histograms once, so candidates must be
+// finalized (built by BuildProfile or ProfileBuilder.Profile) and must
+// not be fed afterwards.
 func NewAdversary(profiles []*Profile) (*Adversary, error) {
 	return core.NewAdversary(profiles)
 }
