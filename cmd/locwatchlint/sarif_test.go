@@ -101,7 +101,7 @@ func TestSARIFColdVsWarm(t *testing.T) {
 	root := t.TempDir()
 	files := map[string]string{
 		"go.mod": "module tmpmod\n\ngo 1.24\n",
-		"a/a.go": "package a\n\nimport \"sync\"\n\ntype Q struct {\n\tmu sync.Mutex\n\tch chan int\n}\n\nfunc (q *Q) Send(v int) {\n\tq.mu.Lock()\n\tdefer q.mu.Unlock()\n\tq.ch <- v\n}\n",
+		"a/a.go": "package a\n\nimport \"os\"\n\nfunc Clean(name string) {\n\tos.Remove(name)\n}\n",
 	}
 	for name, content := range files {
 		path := filepath.Join(root, filepath.FromSlash(name))
@@ -126,7 +126,7 @@ func TestSARIFColdVsWarm(t *testing.T) {
 		return buf.Bytes()
 	}
 	cold := render()
-	if !bytes.Contains(cold, []byte("blockhold")) {
+	if !bytes.Contains(cold, []byte("errflow")) {
 		t.Fatalf("cold SARIF is missing the seeded finding:\n%s", cold)
 	}
 	warm := render()
@@ -141,10 +141,10 @@ func TestSARIFColdVsWarm(t *testing.T) {
 func TestSARIFSuppressions(t *testing.T) {
 	findings := []lint.Finding{
 		{
-			Analyzer: "locksafe", File: "/mod/a.go", Line: 1, Column: 1,
-			Message:       "field S.x is written without synchronization",
+			Analyzer: "errflow", File: "/mod/a.go", Line: 1, Column: 1,
+			Message:       "error result of os.Remove is dropped",
 			Suppressed:    lint.SuppressedInSource,
-			Justification: "write happens before close(done)",
+			Justification: "best-effort cleanup of a scratch file",
 		},
 		{
 			Analyzer: "latlonbounds", File: "/mod/c.go", Line: 3, Column: 1,
@@ -166,7 +166,7 @@ func TestSARIFSuppressions(t *testing.T) {
 	if len(rs[0].Suppressions) != 1 || rs[0].Suppressions[0].Kind != "inSource" {
 		t.Errorf("inSource suppression = %+v", rs[0].Suppressions)
 	}
-	if got := rs[0].Suppressions[0].Justification; got != "write happens before close(done)" {
+	if got := rs[0].Suppressions[0].Justification; got != "best-effort cleanup of a scratch file" {
 		t.Errorf("justification = %q", got)
 	}
 	if len(rs[1].Suppressions) != 0 {

@@ -59,38 +59,3 @@ func TestPrivTaint(t *testing.T) {
 	analysistest.Run(t, fixtures, lint.PrivTaint,
 		"privtaint/app", "privtaint/report", "privtaint/trace")
 }
-
-// TestSpawnLeak covers the goroutine lifecycle contract: WaitGroup
-// handshakes, done-channel protocols, transitive drains and local
-// joins stay silent; unjoined spawns on Close-owning types are
-// reported.
-func TestSpawnLeak(t *testing.T) {
-	analysistest.Run(t, fixtures, lint.SpawnLeak, "spawnleak")
-}
-
-// TestLockSafe covers the lockset race tier: goroutine/main shared
-// fields with inconsistent locksets are reported at the unlocked
-// access (including through named-method spawn chains and the
-// branch-locked may/must split); constructors, entry-lockset-credited
-// helpers, read-only sharing and disciplined types stay silent.
-func TestLockSafe(t *testing.T) {
-	analysistest.Run(t, fixtures, lint.LockSafe, "locksafe")
-}
-
-// TestChanOwner covers channel-ownership discipline: outside-owner
-// sends and closes, send-after-close, double close (eager and
-// deferred), and the one-call-removed ordering violation from the
-// summary fixpoint; owner methods, constructors and consumers stay
-// silent.
-func TestChanOwner(t *testing.T) {
-	analysistest.Run(t, fixtures, lint.ChanOwner, "chanowner")
-}
-
-// TestBlockHold covers blocking-under-lock: channel sends, sleeps and
-// WaitGroup waits with a mutex held (goroutine-side and read-locked
-// included), and may-blocking call chains entered under a lock;
-// unlock-before-block, select-with-default and the justified
-// suppression stay silent.
-func TestBlockHold(t *testing.T) {
-	analysistest.Run(t, fixtures, lint.BlockHold, "blockhold")
-}

@@ -42,15 +42,7 @@ func benchAnalyzer(b *testing.B, a *analysis.Analyzer, path string) {
 func BenchmarkNilFacade(b *testing.B)   { benchAnalyzer(b, lint.NilFacade, "nilfacade") }
 func BenchmarkErrFlow(b *testing.B)     { benchAnalyzer(b, lint.ErrFlow, "errflow") }
 func BenchmarkExhaustEnum(b *testing.B) { benchAnalyzer(b, lint.ExhaustEnum, "exhaustenum") }
-func BenchmarkSpawnLeak(b *testing.B)   { benchAnalyzer(b, lint.SpawnLeak, "spawnleak") }
 func BenchmarkPrivTaint(b *testing.B)   { benchAnalyzer(b, lint.PrivTaint, "privtaint/app") }
-
-// BenchmarkLocksafe includes the lazily-computed concurrency memos
-// (spawn flood, entry locksets) in the first iteration and the steady
-// per-package cost afterwards — the same amortization a real
-// locwatchlint run sees.
-func BenchmarkLocksafe(b *testing.B)  { benchAnalyzer(b, lint.LockSafe, "locksafe") }
-func BenchmarkChanOwner(b *testing.B) { benchAnalyzer(b, lint.ChanOwner, "chanowner") }
 
 // benchCheckModule materializes a self-contained module for the
 // findings-cache benchmark: three packages with enough real

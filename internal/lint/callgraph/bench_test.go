@@ -59,21 +59,6 @@ func BenchmarkSummaries(b *testing.B) {
 	}
 }
 
-// BenchmarkReachability times a forward reachability flood over the
-// module graph — the query spawnleak issues from each close method.
-func BenchmarkReachability(b *testing.B) {
-	pkgs := loadModule(b)
-	g := callgraph.Build(pkgs)
-	roots := g.Nodes()[:1]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(g.Reachable(roots)) == 0 {
-			b.Fatal("empty reachability set")
-		}
-	}
-}
-
 // BenchmarkSCC times the Tarjan condensation on a fresh graph each
 // iteration (SCCs memoizes per graph).
 func BenchmarkSCC(b *testing.B) {

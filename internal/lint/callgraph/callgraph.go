@@ -1,8 +1,8 @@
 // Package callgraph builds a whole-program, type-based call graph over
 // the packages the lint loader produced — the interprocedural substrate
-// under the spawnleak, nilfacade, privtaint and concurrency analyzers,
-// playing the role golang.org/x/tools/go/callgraph/cha plays for real
-// nilness and leak checkers.
+// under the nilfacade and privtaint analyzers, playing the role
+// golang.org/x/tools/go/callgraph/cha plays for real nilness and taint
+// checkers.
 //
 // The graph has one node per declared function or method. Code inside
 // function literals (closures, deferred literals, `go func(){…}()`
@@ -41,10 +41,9 @@ type Node struct {
 	Pkg  *loader.Package
 	Decl *ast.FuncDecl
 
-	// Out and In are the call edges; Out is deterministic (source
-	// order, dynamic targets sorted by name).
+	// Out are the call edges, in deterministic order (source order,
+	// dynamic targets sorted by name).
 	Out []*Edge
-	In  []*Edge
 
 	// External records calls and references to functions outside the
 	// analyzed package set (standard library, unresolved deps), for
@@ -56,40 +55,14 @@ type Node struct {
 // "locwatch/internal/mobility.(*World).Trace".
 func (n *Node) Name() string { return n.Func.FullName() }
 
-// RecvName returns the receiver's base named type name ("World" for
-// (*World).Trace), or "" for a plain function.
-func (n *Node) RecvName() string {
-	recv := n.Func.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return ""
-	}
-	t := recv.Type()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return ""
-	}
-	return named.Obj().Name()
-}
-
 // Edge is one resolved call (or function reference).
 type Edge struct {
-	Caller *Node
 	Callee *Node
 	// Pos is the call or reference position in the caller.
 	Pos token.Pos
 	// Dynamic marks edges resolved by method-set analysis (interface
 	// dispatch) or added for out-of-call-position references.
 	Dynamic bool
-	// Spawn marks edges whose callee starts on a new goroutine: the
-	// direct call of a `go f(…)` statement, and every call or reference
-	// inside a `go func(){…}` literal body (the literal itself is
-	// attributed to the enclosing declaration, so its calls are the
-	// spawned goroutine's first hops). Argument expressions of a go
-	// statement evaluate on the calling goroutine and are not marked.
-	Spawn bool
 }
 
 // ExternalCall is a call or reference to a function with no node.
@@ -196,42 +169,6 @@ func (g *Graph) indexPackage(pkg *loader.Package) {
 	}
 }
 
-// spawnContext records where in a function body code runs on a freshly
-// spawned goroutine: the direct call expressions of `go f(…)`
-// statements, and the body ranges of `go func(){…}` literals (nested
-// literals inside such a body inherit the goroutine).
-type spawnContext struct {
-	direct map[*ast.CallExpr]bool
-	ranges [][2]token.Pos
-}
-
-func spawnContextOf(body *ast.BlockStmt) *spawnContext {
-	sc := &spawnContext{direct: make(map[*ast.CallExpr]bool)}
-	ast.Inspect(body, func(m ast.Node) bool {
-		gs, ok := m.(*ast.GoStmt)
-		if !ok {
-			return true
-		}
-		if lit, ok := ast.Unparen(gs.Call.Fun).(*ast.FuncLit); ok {
-			sc.ranges = append(sc.ranges, [2]token.Pos{lit.Body.Pos(), lit.Body.End()})
-		} else {
-			sc.direct[gs.Call] = true
-		}
-		return true
-	})
-	return sc
-}
-
-// covers reports whether pos lies inside a go-literal body.
-func (sc *spawnContext) covers(pos token.Pos) bool {
-	for _, r := range sc.ranges {
-		if r[0] <= pos && pos < r[1] {
-			return true
-		}
-	}
-	return false
-}
-
 // collectRefs walks n's body and adds a dynamic edge for every
 // *types.Func used outside call position (method value, function
 // passed as argument): the value may run later, so reachability must
@@ -242,7 +179,6 @@ func (g *Graph) collectRefs(n *Node) {
 		return
 	}
 	info := n.Pkg.TypesInfo
-	sc := spawnContextOf(n.Decl.Body)
 	// callFuns collects the identifiers that appear as the resolved
 	// selector/ident of a call's Fun, so the reference pass below can
 	// skip them.
@@ -267,7 +203,7 @@ func (g *Graph) collectRefs(n *Node) {
 			return true
 		}
 		if callee := g.Node(fn); callee != nil {
-			g.addEdge(n, callee, id.Pos(), true, sc.covers(id.Pos()))
+			g.addEdge(n, callee, id.Pos(), true)
 			g.takeAddress(callee)
 		} else {
 			n.External = append(n.External, ExternalCall{Fn: fn, Pos: id.Pos()})
@@ -284,16 +220,14 @@ func (g *Graph) resolveCalls(n *Node) {
 		return
 	}
 	info := n.Pkg.TypesInfo
-	sc := spawnContextOf(n.Decl.Body)
 	ast.Inspect(n.Decl.Body, func(m ast.Node) bool {
 		call, ok := m.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		spawn := sc.direct[call] || sc.covers(call.Pos())
 		if id := calleeIdent(call); id != nil {
 			if fn, _ := info.Uses[id].(*types.Func); fn != nil {
-				g.addCall(n, fn, call.Pos(), spawn)
+				g.addCall(n, fn, call.Pos())
 				return true
 			}
 		}
@@ -310,7 +244,7 @@ func (g *Graph) resolveCalls(n *Node) {
 			return true
 		}
 		for _, callee := range g.addrTaken[valueSigKey(sig)] {
-			g.addEdge(n, callee, call.Pos(), true, spawn)
+			g.addEdge(n, callee, call.Pos(), true)
 		}
 		return true
 	})
@@ -360,24 +294,23 @@ func anonTuple(t *types.Tuple) *types.Tuple {
 
 // addCall resolves one called *types.Func: interface methods fan out
 // via CHA, everything else is a static edge or an external record.
-func (g *Graph) addCall(n *Node, fn *types.Func, pos token.Pos, spawn bool) {
+func (g *Graph) addCall(n *Node, fn *types.Func, pos token.Pos) {
 	if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
 		for _, callee := range g.chaTargets(fn) {
-			g.addEdge(n, callee, pos, true, spawn)
+			g.addEdge(n, callee, pos, true)
 		}
 		return
 	}
 	if callee := g.Node(fn); callee != nil {
-		g.addEdge(n, callee, pos, false, spawn)
+		g.addEdge(n, callee, pos, false)
 		return
 	}
 	n.External = append(n.External, ExternalCall{Fn: fn, Pos: pos})
 }
 
-func (g *Graph) addEdge(from, to *Node, pos token.Pos, dynamic, spawn bool) {
-	e := &Edge{Caller: from, Callee: to, Pos: pos, Dynamic: dynamic, Spawn: spawn}
+func (g *Graph) addEdge(from, to *Node, pos token.Pos, dynamic bool) {
+	e := &Edge{Callee: to, Pos: pos, Dynamic: dynamic}
 	from.Out = append(from.Out, e)
-	to.In = append(to.In, e)
 }
 
 // chaTargets resolves an interface method to the matching concrete
@@ -415,25 +348,6 @@ func (g *Graph) chaTargets(m *types.Func) []*Node {
 	}
 	g.chaMemo[m] = targets
 	return targets
-}
-
-// Reachable returns the set of nodes reachable from roots along Out
-// edges (the roots themselves included).
-func (g *Graph) Reachable(roots []*Node) map[*Node]bool {
-	seen := make(map[*Node]bool)
-	stack := append([]*Node(nil), roots...)
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if n == nil || seen[n] {
-			continue
-		}
-		seen[n] = true
-		for _, e := range n.Out {
-			stack = append(stack, e.Callee)
-		}
-	}
-	return seen
 }
 
 // SCCs returns the strongly connected components of the graph in

@@ -129,56 +129,40 @@ func TestSCCOrder(t *testing.T) {
 	}
 }
 
-func TestReachability(t *testing.T) {
-	g := loadFixture(t)
-	drive := node(t, g, "cg.Drive")
-	clock := node(t, g, "cg.clockInt")
-	even := node(t, g, "cg.Even")
-
-	reach := g.Reachable([]*callgraph.Node{drive})
-	if !reach[clock] {
-		t.Error("clockInt must be reachable from Drive through interface dispatch")
-	}
-	if reach[even] {
-		t.Error("Even must not be reachable from Drive")
-	}
-}
-
-// TestSpawnEdges pins the spawn marking across every way a goroutine
-// can name its first hop: a direct named-method `go r.loop()`, a
-// bound-method value handed to go (address-taken fan-out), a
-// func-typed struct field, interface dispatch under go, and the calls
-// and references inside a `go func(){…}` literal body — while the go
-// statement's argument expressions stay on the calling side.
-func TestSpawnEdges(t *testing.T) {
+// TestGoStatementEdges pins the edges a goroutine's first hop gets,
+// for every way a go statement can name it: a direct named-method
+// `go r.loop()`, a bound-method value handed to go (address-taken
+// fan-out), a func-typed struct field, interface dispatch under go, and
+// the calls and references inside a `go func(){…}` literal body, as
+// well as the go statement's argument expressions. nilfacade and
+// privtaint follow these edges like any other call.
+func TestGoStatementEdges(t *testing.T) {
 	g := loadFixture(t)
 	cases := []struct {
 		caller, callee string
-		spawn, dynamic bool
+		dynamic        bool
 	}{
-		{"Runner).Start", "Runner).loop", true, false},
-		{"Runner).Detach", "Runner).report", true, true},
-		{"Runner).Kick", "Runner).report", true, true},
-		{"Runner).Poll", "(cg.A).Next", true, true},
-		{"Runner).Poll", "(*cg.B).Next", true, true},
-		{"cg.Litter", "cg.Observed", true, false},
-		{"cg.Litter", "cg.Even", true, true}, // reference in the literal body
-		{"cg.Litter", "cg.clockInt", false, false},
-		{"cg.NewRunner", "Runner).report", false, true}, // field wiring, no go
+		{"Runner).Start", "Runner).loop", false},
+		{"Runner).Detach", "Runner).report", true},
+		{"Runner).Kick", "Runner).report", true},
+		{"Runner).Poll", "(cg.A).Next", true},
+		{"Runner).Poll", "(*cg.B).Next", true},
+		{"cg.Litter", "cg.Observed", false},
+		{"cg.Litter", "cg.Even", true}, // reference in the literal body
+		{"cg.Litter", "cg.clockInt", false},
+		{"cg.NewRunner", "Runner).report", true}, // field wiring, no go
 	}
 	for _, tc := range cases {
 		caller := node(t, g, tc.caller)
 		// A pair can carry several edges (a value reference plus the
-		// call through it): the case must match one of them, and a
-		// non-spawn case must see no spawn edge at all.
-		found, anySpawn, total := false, false, 0
+		// call through it): the case must match one of them.
+		found, total := false, 0
 		for _, e := range caller.Out {
 			if !strings.HasSuffix(e.Callee.Name(), tc.callee) {
 				continue
 			}
 			total++
-			anySpawn = anySpawn || e.Spawn
-			if e.Spawn == tc.spawn && e.Dynamic == tc.dynamic {
+			if e.Dynamic == tc.dynamic {
 				found = true
 			}
 		}
@@ -187,10 +171,7 @@ func TestSpawnEdges(t *testing.T) {
 			continue
 		}
 		if !found {
-			t.Errorf("%s → %s: no edge with Spawn=%v Dynamic=%v among %d", tc.caller, tc.callee, tc.spawn, tc.dynamic, total)
-		}
-		if !tc.spawn && anySpawn {
-			t.Errorf("%s → %s: unexpected spawn edge", tc.caller, tc.callee)
+			t.Errorf("%s → %s: no edge with Dynamic=%v among %d", tc.caller, tc.callee, tc.dynamic, total)
 		}
 	}
 }

@@ -5,7 +5,6 @@ package cg
 
 import (
 	"errors"
-	"sync"
 	"time"
 
 	"cg/obs"
@@ -88,29 +87,6 @@ func NewChecked(ok bool) (*A, error) {
 // correlation contract does not hold.
 func Uncorrelated() (*A, error) {
 	return nil, nil
-}
-
-// Pool is the spawn/drain token shape.
-type Pool struct {
-	tasks chan func()
-	wg    sync.WaitGroup
-}
-
-func NewPool() *Pool {
-	p := &Pool{tasks: make(chan func())}
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		for task := range p.tasks {
-			task()
-		}
-	}()
-	return p
-}
-
-func (p *Pool) Close() {
-	close(p.tasks)
-	p.wg.Wait()
 }
 
 // setN mutates its receiver; bump does so transitively.

@@ -1,7 +1,7 @@
 package cg
 
-// Spawn-edge shapes: the graph marks the goroutine's first hops so the
-// concurrency tier knows which code runs off the spawning thread.
+// Go-statement shapes: a goroutine's first hop is an ordinary edge, so
+// the analyzers that walk the graph follow code onto the goroutine.
 
 // Runner exercises the spawned-callee varieties: a named method, a
 // bound-method value, a func-typed field, and interface dispatch.
@@ -11,7 +11,7 @@ type Runner struct {
 	feed Feed
 }
 
-// Start spawns the named method directly: one static spawn edge.
+// Start spawns the named method directly: one static edge.
 func (r *Runner) Start() {
 	go r.loop()
 }
@@ -27,8 +27,7 @@ func (r *Runner) report() error { return nil }
 
 // Detach passes a bound-method value to go: the call is through a
 // plain func value, so resolution fans out dynamically over the
-// address-taken functions of matching signature — and the edge is
-// still a spawn.
+// address-taken functions of matching signature.
 func (r *Runner) Detach() {
 	f := r.report
 	go f()
@@ -39,7 +38,7 @@ func (r *Runner) Kick() {
 	go r.cb()
 }
 
-// Poll spawns an interface method: CHA fan-out with spawn marking.
+// Poll spawns an interface method: CHA fan-out.
 func (r *Runner) Poll() {
 	go r.feed.Next()
 }
@@ -53,9 +52,8 @@ func NewRunner(f Feed) *Runner {
 }
 
 // Litter spawns a literal: the call and the reference inside the body
-// are the goroutine's first hops, while the go statement's argument
-// expression evaluates on the calling goroutine and must not be
-// marked.
+// are the goroutine's first hops, and the go statement's argument
+// expression evaluates on the calling goroutine.
 func Litter() {
 	go func(n int) {
 		Observed()

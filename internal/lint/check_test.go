@@ -11,7 +11,7 @@ import (
 )
 
 // fixtureModule materializes a tiny self-contained module: package a
-// has a blockhold finding and imports package b, which is clean.
+// has an errflow finding and imports package b, which is clean.
 func fixtureModule(t *testing.T) string {
 	t.Helper()
 	root := t.TempDir()
@@ -20,25 +20,18 @@ func fixtureModule(t *testing.T) string {
 		"a/a.go": `package a
 
 import (
-	"sync"
+	"os"
 
 	"tmpmod/b"
 )
 
-type Q struct {
-	mu sync.Mutex
-	ch chan int
-}
-
-func (q *Q) Send(v int) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.ch <- b.Inc(v)
+func Clean(name string) {
+	os.Remove(b.Temp(name))
 }
 `,
 		"b/b.go": `package b
 
-func Inc(n int) int { return n + 1 }
+func Temp(name string) string { return name + ".tmp" }
 `,
 	}
 	for name, content := range files {
@@ -80,12 +73,12 @@ func TestCheckColdWarmIdentical(t *testing.T) {
 	}
 	var found bool
 	for _, f := range cold {
-		if f.Analyzer == "blockhold" && f.File == "a/a.go" {
+		if f.Analyzer == "errflow" && f.File == "a/a.go" {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("cold findings %v missing the blockhold seed", cold)
+		t.Fatalf("cold findings %v missing the errflow seed", cold)
 	}
 
 	// No-op touch: rewrite a.go with identical bytes.
@@ -111,7 +104,7 @@ func TestCheckColdWarmIdentical(t *testing.T) {
 
 	// Real edit to a: the key moves and the whole suite re-runs.
 	edited := append([]byte(nil), content...)
-	edited = append(edited, []byte("\nfunc (q *Q) Len() int {\n\tq.mu.Lock()\n\tdefer q.mu.Unlock()\n\treturn len(q.ch)\n}\n")...)
+	edited = append(edited, []byte("\nfunc Keep(name string) error {\n\treturn os.Remove(name)\n}\n")...)
 	if err := os.WriteFile(aPath, edited, 0o644); err != nil {
 		t.Fatal(err)
 	}

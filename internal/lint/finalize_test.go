@@ -16,18 +16,18 @@ func TestFinalizeFindings(t *testing.T) {
 		{File: "b.go", Line: 9, Column: 2, Message: "via call to G"},
 	}
 	in := []Finding{
-		{Analyzer: "blockhold", File: "a.go", Line: 10, Column: 2, Message: "m", Related: long},
-		{Analyzer: "blockhold", File: "a.go", Line: 10, Column: 2, Message: "m", Related: short},
-		{Analyzer: "blockhold", File: "a.go", Line: 10, Column: 2, Message: "other"},
-		{Analyzer: "locksafe", File: "a.go", Line: 10, Column: 2, Message: "m"},
-		{Analyzer: "blockhold", File: "a.go", Line: 4, Column: 2, Message: "m"},
+		{Analyzer: "nilfacade", File: "a.go", Line: 10, Column: 2, Message: "m", Related: long},
+		{Analyzer: "nilfacade", File: "a.go", Line: 10, Column: 2, Message: "m", Related: short},
+		{Analyzer: "nilfacade", File: "a.go", Line: 10, Column: 2, Message: "other"},
+		{Analyzer: "privtaint", File: "a.go", Line: 10, Column: 2, Message: "m"},
+		{Analyzer: "nilfacade", File: "a.go", Line: 4, Column: 2, Message: "m"},
 	}
 	got := finalizeFindings(in)
 	want := []Finding{
-		{Analyzer: "blockhold", File: "a.go", Line: 4, Column: 2, Message: "m"},
-		{Analyzer: "blockhold", File: "a.go", Line: 10, Column: 2, Message: "m", Related: short},
-		{Analyzer: "blockhold", File: "a.go", Line: 10, Column: 2, Message: "other"},
-		{Analyzer: "locksafe", File: "a.go", Line: 10, Column: 2, Message: "m"},
+		{Analyzer: "nilfacade", File: "a.go", Line: 4, Column: 2, Message: "m"},
+		{Analyzer: "nilfacade", File: "a.go", Line: 10, Column: 2, Message: "m", Related: short},
+		{Analyzer: "nilfacade", File: "a.go", Line: 10, Column: 2, Message: "other"},
+		{Analyzer: "privtaint", File: "a.go", Line: 10, Column: 2, Message: "m"},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("finalizeFindings:\n got %+v\nwant %+v", got, want)

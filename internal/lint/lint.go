@@ -1,7 +1,7 @@
 // Package lint is locwatch's domain lint suite: custom analyzers that
 // machine-check the invariants the paper's risk numbers depend on
 // (coordinate ranges, typed durations, handled errors and enum members,
-// scrubbed location output, joined goroutines, consistent locking).
+// checked constructors, scrubbed location output).
 // Each analyzer keeps its place only by catching a seeded regression
 // that neither go vet nor the tests catch (TestSeededDefects). The
 // analyzers are built on the x/tools-shaped mini framework in
@@ -27,25 +27,17 @@ import (
 
 // All returns the full analyzer suite in stable order: the syntactic
 // tier (latlonbounds, durationseconds), the flow-sensitive tier
-// (errflow, exhaustenum, nilfacade) built on internal/lint/cfg, the
-// interprocedural tier (privtaint, spawnleak, plus nilfacade's
-// summary-driven upgrade) built on internal/lint/callgraph and
-// internal/lint/summary, the concurrency tier (locksafe, chanowner)
-// built on the lockset/escape summaries and the graph's spawn edges,
-// and the deadlock tier (blockhold) built on the blocking-under-lock
-// facts.
+// (errflow, exhaustenum, nilfacade) built on internal/lint/cfg, and
+// the interprocedural tier (privtaint, plus nilfacade's summary-driven
+// upgrade) built on internal/lint/callgraph and internal/lint/summary.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		BlockHold,
-		ChanOwner,
 		DurationSeconds,
 		ErrFlow,
 		ExhaustEnum,
 		LatLonBounds,
-		LockSafe,
 		NilFacade,
 		PrivTaint,
-		SpawnLeak,
 	}
 }
 
@@ -57,8 +49,7 @@ type Finding struct {
 	Column   int    `json:"column"`
 	Message  string `json:"message"`
 	// Related carries secondary positions explaining the finding —
-	// privtaint uses it for the hops of a source→sink witness path,
-	// locksafe for the two-path race witness.
+	// privtaint uses it for the hops of a source→sink witness path.
 	Related []RelatedFinding `json:"related,omitempty"`
 	// Suppressed is "" for an active finding and "inSource" for one
 	// silenced by a //lint:ignore directive. Suppressed findings stay in

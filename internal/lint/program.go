@@ -2,7 +2,6 @@ package lint
 
 import (
 	"fmt"
-	"go/types"
 	"sort"
 	"strings"
 
@@ -17,9 +16,8 @@ import (
 // every module-local dependency the loader has already type-checked.
 // It is handed to each analyzer through analysis.Pass.Program, the
 // shim's stand-in for x/tools' Requires/ResultOf facts machinery. The
-// interprocedural analyzers (nilfacade, privtaint, spawnleak) and the
-// concurrency and deadlock tiers consult it; the syntactic tier and
-// the CFG-only analyzers ignore it.
+// interprocedural analyzers (nilfacade, privtaint) consult it; the
+// syntactic tier and the CFG-only analyzers ignore it.
 type Program struct {
 	// Targets are the packages findings are reported for. Dependency
 	// packages participate in the graph and summaries but are not
@@ -28,33 +26,6 @@ type Program struct {
 
 	Graph *callgraph.Graph
 	Sums  *summary.Set
-
-	// concurrency-tier state (locksafe/chanowner), computed lazily on
-	// first use and shared across the per-package passes of one run.
-	concReady bool
-	// spawnReach holds every node reachable from a spawn edge — code
-	// that may run on a spawned goroutine; spawnFrom records the BFS
-	// parent edge for witness paths (the entry is the spawn edge
-	// itself for flood roots).
-	spawnReach map[*callgraph.Node]bool
-	spawnFrom  map[*callgraph.Node]*callgraph.Edge
-	// spawnShared refines spawnReach per parameter slot (receiver
-	// first): bit i set means the value arriving in slot i of this
-	// function, on some goroutine-side path, aliases state another
-	// goroutine also holds. Accesses rooted in a slot with the bit
-	// clear are goroutine-private even inside spawn-reached code.
-	spawnShared map[*callgraph.Node]uint64
-	// mainReach holds every node reachable along non-spawn edges from
-	// outside the spawned world — code that may run on the spawning
-	// side. A node can be in both.
-	mainReach map[*callgraph.Node]bool
-	// entryHeld is the top-down must-lockset at function entry: the
-	// intersection over all static callsites of (locks held at the
-	// call ∪ the caller's own entry set). Spawn and dynamic edges
-	// contribute the empty set.
-	entryHeld map[*callgraph.Node][]*types.Var
-	// fieldOwner maps a struct field to the named type declaring it.
-	fieldOwner map[*types.Var]*types.Named
 }
 
 // BuildProgram assembles a Program over targets. lookup resolves an

@@ -51,9 +51,9 @@ type seededDefect struct {
 // It names "vet" when vet fails, else the first test the go test run
 // reports failing; for a panic or a timeout, the test running at the
 // time. TestSeededDefects does not re-run those checks
-// (internal/experiments alone takes minutes under -race, and a seeded
-// deadlock only fails at the ten-minute test timeout); it re-checks
-// only the lint side.
+// (internal/experiments alone takes minutes under -race, and the two
+// seeded self-deadlocks only fail at the ten-minute test timeout); it
+// re-checks only the lint side.
 var seededDefects = []seededDefect{
 	// latlonbounds: Lat and Lon swapped in a coordinate constant.
 	{
@@ -170,8 +170,8 @@ var providerNames = [...]string{"gps", "network", "passive", "fused", "wifi"}`,
 		want: []string{"nilfacade"},
 	},
 
-	// spawnleak: Shutdown returns without joining the serve goroutine
-	// and drops its exit error.
+	// Shutdown returns without joining the serve goroutine and drops its
+	// exit error.
 	{
 		file: "internal/obs/server.go",
 		old: `	err := s.srv.Shutdown(ctx)
@@ -183,20 +183,21 @@ var providerNames = [...]string{"gps", "network", "passive", "fused", "wifi"}`,
 	case <-ctx.Done():
 	}
 	return err`,
-		new:  `	return s.srv.Shutdown(ctx)`,
-		pkgs: []string{"./internal/obs"},
-		want: []string{"spawnleak"},
+		new:      `	return s.srv.Shutdown(ctx)`,
+		pkgs:     []string{"./internal/obs"},
+		caughtBy: "TestServerShutdownReturnsServeError",
 	},
 
-	// Goroutines a close path no longer waits for, which spawnleak
-	// misses: a shard stops without draining its queue, and Close stops
-	// the flush ticker while its SyncAll may still run.
+	// Goroutines a close path no longer waits for: a shard stops without
+	// draining its queue, and Close stops the flush ticker while its
+	// SyncAll may still run. Nothing catches the second.
 	{
 		file: "internal/stream/shard.go",
 		old: `	close(s.ops)
 	<-s.done`,
-		new:  `	close(s.ops)`,
-		pkgs: []string{"./internal/stream"},
+		new:      `	close(s.ops)`,
+		pkgs:     []string{"./internal/stream"},
+		caughtBy: "TestCloseDrainsQueuedOps",
 	},
 	{
 		file: "internal/stream/stream.go",
@@ -206,15 +207,16 @@ var providerNames = [...]string{"gps", "network", "passive", "fused", "wifi"}`,
 		pkgs: []string{"./internal/stream"},
 	},
 
-	// locksafe: a shared span field accessed without its lock.
+	// A shared span field accessed without its lock: -race fails on
+	// both.
 	{
 		file: "internal/obs/span.go",
 		old: `	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.ended {`,
-		new:  `	if s.ended {`,
-		pkgs: []string{"./internal/obs", "./internal/stream"},
-		want: []string{"locksafe"},
+		new:      `	if s.ended {`,
+		pkgs:     []string{"./internal/obs"},
+		caughtBy: "TestConcurrentSpans",
 	},
 	{
 		file: "internal/obs/span.go",
@@ -224,13 +226,12 @@ var providerNames = [...]string{"gps", "network", "passive", "fused", "wifi"}`,
 	t.mu.Unlock()`,
 		new: `	t.next++
 	id := t.next`,
-		pkgs:     []string{"./internal/obs", "./internal/stream"},
-		want:     []string{"locksafe"},
+		pkgs:     []string{"./internal/obs"},
 		caughtBy: "TestConcurrentSpans",
 	},
 
-	// chanowner: Close closes the shard queues itself and no longer
-	// waits for them to drain.
+	// Close closes the shard queues itself and no longer waits for them
+	// to drain.
 	{
 		file: "internal/stream/stream.go",
 		old: `	for _, sh := range e.shards {
@@ -239,13 +240,13 @@ var providerNames = [...]string{"gps", "network", "passive", "fused", "wifi"}`,
 		new: `	for _, sh := range e.shards {
 		close(sh.ops)
 	}`,
-		pkgs: []string{"./internal/stream"},
-		want: []string{"chanowner"},
+		pkgs:     []string{"./internal/stream"},
+		caughtBy: "TestCloseDrainsQueuedOps",
 	},
 
-	// Double closes chanowner misses: without its closed guard a second
-	// Close closes every channel again, and shard.close closes done,
-	// which run closes again on exit.
+	// Double closes: without its closed guard a second Close closes
+	// every channel again, and shard.close closes done, which run
+	// closes again on exit.
 	{
 		file: "internal/stream/stream.go",
 		old: `	e.mu.Lock()
@@ -399,8 +400,8 @@ var providerNames = [...]string{"gps", "network", "passive", "fused", "wifi"}`,
 		caughtBy: "TestCampaignReproducesSectionIII",
 	},
 
-	// blockhold: a wait that ignores ctx under the engine's read lock,
-	// which Close needs.
+	// A wait that ignores ctx under the engine's read lock, which Close
+	// needs.
 	{
 		file: "internal/stream/shard.go",
 		old: `	select {
@@ -414,7 +415,6 @@ var providerNames = [...]string{"gps", "network", "passive", "fused", "wifi"}`,
 	s.eng.obsm.queueDepth.Inc()
 	return nil`,
 		pkgs:     []string{"./internal/stream"},
-		want:     []string{"blockhold"},
 		caughtBy: "TestIngestBackpressureRespectsContext",
 	},
 	{
@@ -427,12 +427,12 @@ var providerNames = [...]string{"gps", "network", "passive", "fused", "wifi"}`,
 	}`,
 		new: `	rep := <-ch
 	return rep.risk, rep.err`,
-		pkgs: []string{"./internal/stream"},
-		want: []string{"blockhold"},
+		pkgs:     []string{"./internal/stream"},
+		caughtBy: "TestRiskRespectsContext",
 	},
 
-	// blockhold: Close waits for the flush ticker under the write lock,
-	// while the ticker's SyncAll waits for the read lock.
+	// Close waits for the flush ticker under the write lock, while the
+	// ticker's SyncAll waits for the read lock.
 	{
 		file: "internal/stream/stream.go",
 		old: `	e.closed = true
@@ -453,8 +453,8 @@ var providerNames = [...]string{"gps", "network", "passive", "fused", "wifi"}`,
 		<-e.tickDone
 	}
 	e.mu.Unlock()`,
-		pkgs: []string{"./internal/stream"},
-		want: []string{"blockhold"},
+		pkgs:     []string{"./internal/stream"},
+		caughtBy: "TestCloseWithPendingTick",
 	},
 
 	// A mutex re-acquired by the goroutine that holds it: both hang a
@@ -470,7 +470,6 @@ var providerNames = [...]string{"gps", "network", "passive", "fused", "wifi"}`,
 	e.closed = true
 	e.mu.Unlock()`,
 		pkgs:     []string{"./internal/stream"},
-		want:     []string{"blockhold"},
 		caughtBy: "TestIngestAndRiskRoundTrip",
 	},
 	{
@@ -482,6 +481,20 @@ var providerNames = [...]string{"gps", "network", "passive", "fused", "wifi"}`,
 			panic(`,
 		pkgs:     []string{"./internal/obs"},
 		caughtBy: "TestRegistryMisusePanics",
+	},
+
+	// Evict reads the result of an op its ctx abandoned, racing the
+	// shard goroutine's later write.
+	{
+		file: "internal/stream/stream.go",
+		old: `	if err != nil {
+		// The op may still run later and write found.
+		return false, err
+	}
+	return found, nil`,
+		new:      `	return found, err`,
+		pkgs:     []string{"./internal/stream"},
+		caughtBy: "TestEvictRespectsContext",
 	},
 }
 

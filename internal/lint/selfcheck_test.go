@@ -9,18 +9,15 @@ import (
 	"locwatch/internal/lint/loader"
 )
 
-// TestRegistryComplete pins the 10-analyzer suite: the interprocedural
-// tier (privtaint, spawnleak, the summary-driven nilfacade), the
-// concurrency tier (locksafe, chanowner) and the deadlock tier
-// (blockhold) must be registered alongside the syntactic and
-// flow-sensitive tiers, so `locwatchlint ./...` and
-// TestSuiteCleanOnRepo actually gate on them. TestSeededDefects
-// decides who belongs on the list.
+// TestRegistryComplete pins the 6-analyzer suite: the interprocedural
+// tier (privtaint, the summary-driven nilfacade) must be registered
+// alongside the syntactic and flow-sensitive tiers, so
+// `locwatchlint ./...` and TestSuiteCleanOnRepo actually gate on them.
+// TestSeededDefects decides who belongs on the list.
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
-		"blockhold", "chanowner", "durationseconds", "errflow",
-		"exhaustenum", "latlonbounds", "locksafe", "nilfacade",
-		"privtaint", "spawnleak",
+		"durationseconds", "errflow", "exhaustenum",
+		"latlonbounds", "nilfacade", "privtaint",
 	}
 	all := lint.All()
 	if len(all) != len(want) {

@@ -14,8 +14,6 @@ var fixturePacks = [][]string{
 	{"durationseconds"}, {"exhaustenum"}, {"exhaustenum_sentinel"},
 	{"nilfacade"}, {"nilfacade/core"}, {"errflow"},
 	{"privtaint/app", "privtaint/report", "privtaint/trace"},
-	{"spawnleak"}, {"locksafe"}, {"chanowner"},
-	{"blockhold"},
 }
 
 // TestSubsumption keeps the roster free of analyzers that only restate

@@ -37,24 +37,3 @@ func BenchmarkTaintSummaries(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkConcSummaries times the same full summary pass over the
-// concurrency fixture — lockset dataflow per function plus the
-// SCC-ordered channel/blocking fixpoint — the per-module cost the
-// locksafe/chanowner tier adds to a lint run.
-func BenchmarkConcSummaries(b *testing.B) {
-	ld := loader.New(loader.SrcDir("testdata/src"))
-	pkg, err := ld.Load("conc")
-	if err != nil {
-		b.Fatalf("loading conc: %v", err)
-	}
-	g := callgraph.Build([]*loader.Package{pkg})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := summary.Compute(g)
-		if s.OfNode(g.Nodes()[0]) == nil {
-			b.Fatal("missing facts")
-		}
-	}
-}

@@ -71,23 +71,3 @@ func TestErrorCorrelation(t *testing.T) {
 		t.Error("Uncorrelated returns (nil, nil): the contract must not hold")
 	}
 }
-
-func TestSpawnAndTokens(t *testing.T) {
-	s := loadFixture(t)
-	np := facts(t, s, "sum.NewPool")
-	if len(np.Tokens.WgDone) != 1 || len(np.Tokens.ChRecv) != 1 {
-		t.Errorf("NewPool tokens = %+v, want one WgDone and one ChRecv", np.Tokens)
-	}
-	cl := facts(t, s, "Pool).Close")
-	if len(cl.Tokens.ChClose) != 1 || len(cl.Tokens.WgWait) != 1 {
-		t.Errorf("Close tokens = %+v, want one ChClose and one WgWait", cl.Tokens)
-	}
-	// The worker's Done and Close's Wait must resolve to the same
-	// WaitGroup field, and likewise for the channel.
-	if np.Tokens.WgDone[0] != cl.Tokens.WgWait[0] {
-		t.Error("worker Done and Close Wait must name the same field variable")
-	}
-	if np.Tokens.ChRecv[0] != cl.Tokens.ChClose[0] {
-		t.Error("worker range and Close close must name the same channel field")
-	}
-}

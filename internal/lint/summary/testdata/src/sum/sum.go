@@ -1,11 +1,8 @@
 // Package sum is the summary-pass unit-test fixture: may-nil results
-// and the error correlation, and spawn and drain tokens.
+// and the error correlation.
 package sum
 
-import (
-	"errors"
-	"sync"
-)
+import "errors"
 
 type T struct{}
 
@@ -41,27 +38,4 @@ func Uncorrelated() (*T, error) {
 // BareNamed returns the zero value of its named result.
 func BareNamed() (p *T) {
 	return
-}
-
-// Pool carries the spawn/drain tokens.
-type Pool struct {
-	tasks chan func()
-	wg    sync.WaitGroup
-}
-
-func NewPool() *Pool {
-	p := &Pool{tasks: make(chan func())}
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		for task := range p.tasks {
-			task()
-		}
-	}()
-	return p
-}
-
-func (p *Pool) Close() {
-	close(p.tasks)
-	p.wg.Wait()
 }

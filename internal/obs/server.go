@@ -64,7 +64,8 @@ func Serve(addr string, r *Registry) (*Server, error) {
 	go func() {
 		defer close(s.done)
 		if err := s.srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-			//lint:ignore locksafe the write happens before close(s.done); readers gate on <-s.done
+			// The write happens before close(s.done); readers gate on
+			// <-s.done.
 			s.err = err
 		}
 	}()

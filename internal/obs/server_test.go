@@ -2,7 +2,9 @@ package obs
 
 import (
 	"context"
+	"errors"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -89,6 +91,30 @@ func TestServerGracefulShutdown(t *testing.T) {
 	// A second shutdown is a harmless no-op.
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatalf("second shutdown: %v", err)
+	}
+}
+
+// TestServerShutdownReturnsServeError kills the serve loop before
+// shutdown by closing its listener: Shutdown must join the serve
+// goroutine and return the loop's error rather than report a clean
+// stop.
+func TestServerShutdownReturnsServeError(t *testing.T) {
+	s, err := Serve("127.0.0.1:0", NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ln.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-s.done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("serve goroutine still running after its listener closed")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("Shutdown = %v, want the serve loop's closed-listener error", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -108,9 +109,10 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 	}
 }
 
-// TestConcurrentSpans opens and ends spans from many goroutines; IDs
-// must stay unique and every span must be recorded (-race covers the
-// memory model).
+// TestConcurrentSpans opens and ends spans from many goroutines, each
+// of which also annotates the shared root; IDs must stay unique, every
+// span must be recorded, and the root must keep every annotation
+// (-race covers the memory model).
 func TestConcurrentSpans(t *testing.T) {
 	var tr Tracer
 	root := tr.Start("root")
@@ -120,6 +122,9 @@ func TestConcurrentSpans(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// First, before the tracer's lock orders this worker after
+			// another.
+			root.SetAttr(fmt.Sprint("worker", i), "b")
 			s := root.Child("worker")
 			s.SetAttr("a", "b")
 			s.End()
@@ -139,6 +144,9 @@ func TestConcurrentSpans(t *testing.T) {
 		seen[s.ID] = true
 		if s.Name == "worker" && s.Parent == 0 {
 			t.Fatal("worker span lost its parent")
+		}
+		if s.Name == "root" && len(s.Attrs) != n {
+			t.Fatalf("root span kept %d of %d worker attrs", len(s.Attrs), n)
 		}
 	}
 }

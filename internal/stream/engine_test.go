@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -261,15 +262,29 @@ func TestUsersSorted(t *testing.T) {
 	}
 }
 
+// stallShard blocks shard 0's goroutine inside an op and returns once
+// the shard is in it. A timer ends the stall after d, so a call that
+// never returns while the shard is stalled fails its test at d instead
+// of hanging it until the binary's timeout; release ends it sooner.
+func stallShard(t *testing.T, e *Engine, d time.Duration) (release func()) {
+	t.Helper()
+	unblock := make(chan struct{})
+	entered := make(chan struct{})
+	e.shards[0].ops <- func() { close(entered); <-unblock }
+	<-entered
+	var once sync.Once
+	release = func() { once.Do(func() { close(unblock) }) }
+	time.AfterFunc(d, release)
+	t.Cleanup(release)
+	return release
+}
+
 func TestIngestBackpressureRespectsContext(t *testing.T) {
 	// One shard, queue of one, and the shard goroutine blocked: a
 	// second submission must block and then honor cancellation.
 	e := mustEngine(t, Config{Shards: 1, QueueDepth: 1})
 	ctx := context.Background()
-	unblock := make(chan struct{})
-	release := make(chan struct{})
-	e.shards[0].ops <- func() { close(release); <-unblock }
-	<-release
+	stallShard(t, e, 2*time.Second)
 	if err := e.Ingest(ctx, "alice", commute(0)[:1]); err != nil {
 		t.Fatal(err) // fills the queue
 	}
@@ -279,7 +294,114 @@ func TestIngestBackpressureRespectsContext(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("backpressured ingest returned %v, want deadline exceeded", err)
 	}
-	close(unblock)
+}
+
+// TestRiskRespectsContext: a query whose op is queued behind a stalled
+// shard gives up when its ctx does, instead of waiting for the reply.
+func TestRiskRespectsContext(t *testing.T) {
+	e := mustEngine(t, Config{Shards: 1})
+	stallShard(t, e, 2*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := e.Risk(ctx, "alice"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Risk on a stalled shard returned %v, want deadline exceeded", err)
+	}
+}
+
+// TestEvictRespectsContext: an eviction abandoned by its ctx returns
+// without reading the result the shard writes later. The stall ends on
+// a timer, not on a channel this goroutine closes, so nothing orders
+// Evict's return before the shard's write and -race sees any read.
+func TestEvictRespectsContext(t *testing.T) {
+	e := mustEngine(t, Config{Shards: 1})
+	stallShard(t, e, 250*time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if found, err := e.Evict(ctx, "alice"); found || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Evict on a stalled shard = %v, %v; want false, deadline exceeded", found, err)
+	}
+	// Wait for the abandoned op to run, so its write lands inside this
+	// test.
+	if err := e.SyncAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCloseDrainsQueuedOps: Close returns only after every op queued
+// before it has run.
+func TestCloseDrainsQueuedOps(t *testing.T) {
+	e := mustEngine(t, Config{Shards: 1})
+	release := stallShard(t, e, 2*time.Second)
+	ran := make(chan struct{})
+	if err := e.shards[0].submit(context.Background(), func() { close(ran) }); err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- e.Close() }()
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned %v while an op was still queued", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close did not return after the stall ended")
+	}
+	select {
+	case <-ran:
+	default:
+		t.Fatal("Close returned before the queued op ran")
+	}
+}
+
+// TestCloseWithPendingTick closes an engine whose flush ticker is
+// mid-SyncAll on a stalled shard, with a further tick buffered by the
+// time the stall ends. Close must not hold the write lock while it
+// waits for the ticker, whose next SyncAll needs the read lock. The
+// engines are not closed by a test cleanup: a Close that deadlocks
+// must fail the test, not hang it.
+func TestCloseWithPendingTick(t *testing.T) {
+	const interval = time.Millisecond
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	for i := 0; i < 10; i++ {
+		e, err := New(Config{Anchor: testAnchor, Shards: 1, FlushInterval: interval})
+		if err != nil {
+			t.Fatal(err)
+		}
+		release := stallShard(t, e, 2*time.Second)
+		waitFor("the tick's SyncAll op", func() bool { return len(e.shards[0].ops) >= 1 })
+		closed := make(chan error, 1)
+		go func() { closed <- e.Close() }()
+		waitFor("Close to wait for the write lock", func() bool {
+			if e.mu.TryRLock() {
+				e.mu.RUnlock()
+				return false
+			}
+			return true
+		})
+		time.Sleep(3 * interval) // a tick is buffered
+		release()
+		select {
+		case err := <-closed:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("iteration %d: Close deadlocked with the flush ticker", i)
+		}
+	}
 }
 
 func TestConfigRejectsMismatchedReferencePattern(t *testing.T) {

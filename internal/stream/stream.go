@@ -26,8 +26,8 @@
 //     a buffered point.
 //
 // Backpressure is the queue bound: Ingest blocks while the target
-// shard's queue is full, pushing the stall back onto the producer the
-// same way the Lab's bounded worker pool does onto experiments.
+// shard's queue is full, pushing the stall back onto the producer
+// until the queue drains or the producer's ctx ends.
 package stream
 
 import (
@@ -167,7 +167,8 @@ func New(cfg Config) (*Engine, error) {
 			return &buf
 		}},
 	}
-	//lint:ignore locksafe written once here, before the shard goroutines below are spawned; never reassigned
+	// Written once here, before the shard goroutines below are spawned;
+	// never reassigned.
 	e.obsm.root = e.obsm.tracer.Start("stream_engine")
 	e.shards = make([]*shard, cfg.Shards)
 	for i := range e.shards {
@@ -289,7 +290,11 @@ func (e *Engine) Evict(ctx context.Context, userID string) (bool, error) {
 	err := e.onShard(ctx, e.shardFor(userID), func(s *shard) {
 		found = s.evict(userID)
 	})
-	return found, err
+	if err != nil {
+		// The op may still run later and write found.
+		return false, err
+	}
+	return found, nil
 }
 
 // SyncAll recomputes the risk snapshot of every dirty user on every
@@ -411,7 +416,10 @@ func (e *Engine) eachShard(ctx context.Context, op func(*shard)) error {
 			wg.Done()
 		}
 	}
-	//lint:ignore blockhold the barrier must not abandon submitted ops: each op was accepted under ctx, the shards drain without taking Engine.mu, so Wait is bounded by queued work and the held read lock only fences off Close
+	// The barrier must not abandon submitted ops: each op was accepted
+	// under ctx, the shards drain without taking Engine.mu, so Wait is
+	// bounded by queued work and the held read lock only fences off
+	// Close.
 	wg.Wait()
 	return errors.Join(errs...)
 }
