@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test check fmt vet lint race fuzz vuln cover
+.PHONY: all build test check fmt vet lint race bench-check fuzz vuln cover
 
 all: build
 
@@ -12,11 +12,11 @@ test:
 	$(GO) test ./...
 
 ## check is the CI gate: formatting, go vet, the domain lint suite,
-## the full test suite under the race detector, short fuzz runs over
-## every parser that consumes untrusted input and every bit-identity
-## oracle, and a known-vulnerability scan when the environment supports
-## one.
-check: fmt vet lint race fuzz vuln
+## the full test suite under the race detector, vet and the tests of
+## the benchmark module, short fuzz runs over every parser that
+## consumes untrusted input and every bit-identity oracle, and a
+## known-vulnerability scan when the environment supports one.
+check: fmt vet lint race bench-check fuzz vuln
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -40,6 +40,12 @@ lint:
 
 race:
 	$(GO) test -race ./...
+
+# bench/ is a nested module, so the root targets never compile the
+# benchmark driver against the packages it imports. Vet it and run its
+# tests under the race detector, building it against this tree.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test -race ./...
 
 # Statement coverage: the per-package summary is the `go test -cover`
 # output itself, saved next to the merged profile. Informational (the

@@ -39,48 +39,89 @@ type Figure2Result struct {
 	Rows []Figure2Row
 }
 
+// extractors feeds one replay to several extractors in order. Figure2
+// passes its Feed to trace.ForEach as a method value, not a closure:
+// privtaint resolves calls through a func(trace.Point) error value to
+// the declared functions whose address is taken, and with none it
+// reports cmd/tracegen's trace.Split error paths as leaking a fix.
+type extractors []*poi.Extractor
+
+// Feed feeds p to every extractor and stops at the first error.
+func (exs extractors) Feed(p trace.Point) error {
+	for _, ex := range exs {
+		if err := ex.Feed(p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Figure2 extracts PoIs from every user's full-rate trace under the
 // paper's six parameter sets (radius 50/100 m × visit 10/20/30 min).
+//
+// Each user's trace is generated once and fed to one extractor per
+// radius, built with the shortest visit time. MinVisit only selects
+// which closed stays an extractor emits (poi.Params), so the stays a
+// longer visit time v emits are exactly those with Duration() ≥ v:
+// every emitted stay counts toward each set whose visit time it
+// reaches.
 func Figure2(l *Lab) (*Figure2Result, error) {
-	sets := []struct {
-		visit  time.Duration
-		radius float64
-	}{
-		{10 * time.Minute, 50}, {20 * time.Minute, 50}, {30 * time.Minute, 50},
-		{10 * time.Minute, 100}, {20 * time.Minute, 100}, {30 * time.Minute, 100},
+	// The six sets are every radius × every visit time, radius-major:
+	// set 1 is (50 m, 10 min), set 6 (100 m, 30 min). Visit times
+	// ascend, so visits[0] is the shortest.
+	radii := [...]float64{50, 100}
+	visits := [...]time.Duration{10 * time.Minute, 20 * time.Minute, 30 * time.Minute}
+	const nVisits = len(visits)
+	counts := make([][len(radii) * nVisits]int, l.world.NumUsers())
+	err := l.forEachUser(func(id int) error {
+		src, err := l.world.Trace(id, 0)
+		if err != nil {
+			return err
+		}
+		exs := make(extractors, 0, len(radii))
+		defer func() {
+			for _, ex := range exs {
+				ex.Release()
+			}
+		}()
+		for r, radius := range radii {
+			n := counts[id][r*nVisits : (r+1)*nVisits]
+			params := poi.Params{Radius: radius, MinVisit: visits[0]}
+			ex, err := poi.NewExtractor(params, func(s poi.StayPoint) {
+				for v, visit := range visits {
+					if s.Duration() >= visit {
+						n[v]++
+					}
+				}
+			})
+			if err != nil {
+				return err
+			}
+			exs = append(exs, ex)
+		}
+		if err := trace.ForEach(src, exs.Feed); err != nil {
+			return err
+		}
+		for _, ex := range exs {
+			ex.Flush()
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	res := &Figure2Result{}
-	counts := make([]int, l.world.NumUsers())
-	for i, set := range sets {
-		params := poi.Params{Radius: set.radius, MinVisit: set.visit}
-		err := l.forEachUser(func(id int) error {
-			src, err := l.world.Trace(id, 0)
-			if err != nil {
-				return err
+	for r, radius := range radii {
+		for v, visit := range visits {
+			set := r*nVisits + v
+			total := 0
+			for _, c := range counts {
+				total += c[set]
 			}
-			n := 0
-			ex, err := poi.NewExtractor(params, func(poi.StayPoint) { n++ })
-			if err != nil {
-				return err
-			}
-			defer ex.Release()
-			if err := trace.ForEach(src, ex.Feed); err != nil {
-				return err
-			}
-			ex.Flush()
-			counts[id] = n
-			return nil
-		})
-		if err != nil {
-			return nil, err
+			res.Rows = append(res.Rows, Figure2Row{
+				SetID: set + 1, VisitTime: visit, Radius: radius, PoIs: total,
+			})
 		}
-		total := 0
-		for _, n := range counts {
-			total += n
-		}
-		res.Rows = append(res.Rows, Figure2Row{
-			SetID: i + 1, VisitTime: set.visit, Radius: set.radius, PoIs: total,
-		})
 	}
 	return res, nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"locwatch/internal/obs"
+	"locwatch/internal/trace"
 )
 
 // checkPin compares the SHA-256 of a pipeline's output with a digest
@@ -157,5 +158,43 @@ func TestLabPoolGaugeBalance(t *testing.T) {
 	}
 	if n := reg.Histogram("locwatch_lab_pool_task_seconds", obs.DefLatencyBuckets).Count(); n != uint64(l.World().NumUsers()) {
 		t.Fatalf("task histogram count %d, want %d", n, l.World().NumUsers())
+	}
+}
+
+// TestFigure2ReplaysOnce pins Figure2 to one native-rate pass over
+// every user's trace: the lab's mobility fix counter must equal the
+// fixes of one replay, counted on a second lab without metrics. Fix
+// counts are deterministic, so a driver that goes back to one replay
+// per parameter set fails here at six times the count.
+func TestFigure2ReplaysOnce(t *testing.T) {
+	cfg := tinyConfig()
+	reg := obs.NewRegistry()
+	cfg.Obs = reg
+	l := mustLab(t, cfg)
+	defer l.Close()
+	if _, err := Figure2(l); err != nil {
+		t.Fatal(err)
+	}
+
+	plain := mustLab(t, tinyConfig())
+	defer plain.Close()
+	var onePass uint64
+	for u := range plain.World().NumUsers() {
+		src, err := plain.World().Trace(u, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := trace.Count(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		onePass += uint64(n)
+	}
+	if onePass == 0 {
+		t.Fatal("the tiny world generated no fixes")
+	}
+	if got := reg.Counter("locwatch_mobility_fixes_total").Value(); got != onePass {
+		t.Errorf("Figure2 generated %d fixes, one native pass is %d (%.2f passes)",
+			got, onePass, float64(got)/float64(onePass))
 	}
 }

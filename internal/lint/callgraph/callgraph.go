@@ -44,11 +44,6 @@ type Node struct {
 	// Out are the call edges, in deterministic order (source order,
 	// dynamic targets sorted by name).
 	Out []*Edge
-
-	// External records calls and references to functions outside the
-	// analyzed package set (standard library, unresolved deps), for
-	// summary source checks like "calls time.Now".
-	External []ExternalCall
 }
 
 // Name returns the fully qualified name, e.g.
@@ -63,12 +58,6 @@ type Edge struct {
 	// Dynamic marks edges resolved by method-set analysis (interface
 	// dispatch) or added for out-of-call-position references.
 	Dynamic bool
-}
-
-// ExternalCall is a call or reference to a function with no node.
-type ExternalCall struct {
-	Fn  *types.Func
-	Pos token.Pos
 }
 
 // Graph is the whole-program call graph.
@@ -91,7 +80,7 @@ type Graph struct {
 
 // Build constructs the graph over the given packages. The set should
 // be import-closed over the module (dependencies included); calls into
-// packages outside the set are recorded as External.
+// packages outside the set get no edge.
 func Build(pkgs []*loader.Package) *Graph {
 	pkgs = append([]*loader.Package(nil), pkgs...)
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
@@ -205,8 +194,6 @@ func (g *Graph) collectRefs(n *Node) {
 		if callee := g.Node(fn); callee != nil {
 			g.addEdge(n, callee, id.Pos(), true)
 			g.takeAddress(callee)
-		} else {
-			n.External = append(n.External, ExternalCall{Fn: fn, Pos: id.Pos()})
 		}
 		return true
 	})
@@ -293,7 +280,8 @@ func anonTuple(t *types.Tuple) *types.Tuple {
 }
 
 // addCall resolves one called *types.Func: interface methods fan out
-// via CHA, everything else is a static edge or an external record.
+// via CHA, a function with a node gets a static edge, and a function
+// outside the analyzed packages gets none.
 func (g *Graph) addCall(n *Node, fn *types.Func, pos token.Pos) {
 	if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
 		for _, callee := range g.chaTargets(fn) {
@@ -303,9 +291,7 @@ func (g *Graph) addCall(n *Node, fn *types.Func, pos token.Pos) {
 	}
 	if callee := g.Node(fn); callee != nil {
 		g.addEdge(n, callee, pos, false)
-		return
 	}
-	n.External = append(n.External, ExternalCall{Fn: fn, Pos: pos})
 }
 
 func (g *Graph) addEdge(from, to *Node, pos token.Pos, dynamic bool) {

@@ -77,20 +77,6 @@ func TestCHADispatch(t *testing.T) {
 	}
 }
 
-func TestExternalCalls(t *testing.T) {
-	g := loadFixture(t)
-	clock := node(t, g, "cg.clockInt")
-	found := false
-	for _, ext := range clock.External {
-		if ext.Fn.FullName() == "time.Now" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("clockInt externals lack time.Now: %v", clock.External)
-	}
-}
-
 func TestReferenceEdge(t *testing.T) {
 	g := loadFixture(t)
 	register := node(t, g, "cg.Register")

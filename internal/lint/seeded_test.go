@@ -51,9 +51,11 @@ type seededDefect struct {
 // It names "vet" when vet fails, else the first test the go test run
 // reports failing; for a panic or a timeout, the test running at the
 // time. TestSeededDefects does not re-run those checks
-// (internal/experiments alone takes minutes under -race, and the two
-// seeded self-deadlocks only fail at the ten-minute test timeout); it
-// re-checks only the lint side.
+// (internal/experiments alone takes minutes under -race); it re-checks
+// only the lint side. The stream tests bound every Close they wait
+// for, and the obs tests every registry misuse call, at 5 s at most,
+// so even the two seeded self-deadlocks fail their first test within
+// 5 s.
 var seededDefects = []seededDefect{
 	// latlonbounds: Lat and Lon swapped in a coordinate constant.
 	{
@@ -457,8 +459,8 @@ var providerNames = [...]string{"gps", "network", "passive", "fused", "wifi"}`,
 		caughtBy: "TestCloseWithPendingTick",
 	},
 
-	// A mutex re-acquired by the goroutine that holds it: both hang a
-	// test until it times out.
+	// A mutex re-acquired by the goroutine that holds it: both hang
+	// the call, which the test fails after 5 s.
 	{
 		file: "internal/stream/stream.go",
 		old: `	e.closed = true

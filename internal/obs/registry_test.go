@@ -6,6 +6,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestRegistryGetOrCreate(t *testing.T) {
@@ -36,14 +37,25 @@ func TestNilRegistryHandsOutNilInstruments(t *testing.T) {
 	}
 }
 
+// mustPanic runs fn on its own goroutine and fails the test unless fn
+// panics. A call still running after 5 s fails the test too, so a
+// misuse path that deadlocks (a registry method re-locking its own
+// mutex) fails in seconds instead of at the test binary's timeout.
 func mustPanic(t *testing.T, name string, fn func()) {
 	t.Helper()
-	defer func() {
-		if recover() == nil {
+	panicked := make(chan bool, 1)
+	go func() {
+		defer func() { panicked <- recover() != nil }()
+		fn()
+	}()
+	select {
+	case ok := <-panicked:
+		if !ok {
 			t.Fatalf("%s did not panic", name)
 		}
-	}()
-	fn()
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s did not return within 5s", name)
+	}
 }
 
 func TestRegistryMisusePanics(t *testing.T) {

@@ -47,6 +47,8 @@ type Params struct {
 	// and exit (buf_PoI vs buf_Exit centroids farther than this).
 	Radius float64
 	// MinVisit is the minimum dwell time for a stay to count as a PoI.
+	// It only selects which closed stays are emitted; extraction state
+	// never depends on it.
 	MinVisit time.Duration
 	// Window is the time span of the entry and exit buffers. Movement
 	// slower than roughly Radius/(Window/2) is treated as stationary.

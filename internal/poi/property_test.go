@@ -2,6 +2,7 @@ package poi
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -170,4 +171,77 @@ func TestPropertySamplingNeverAddsStays(t *testing.T) {
 	if err := quick.Check(f, quickCfg(30)); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// randomStayTrace builds a trace over every path of the extractor:
+// dense (1–5 s) and sparse (30 s–10 min) sampling, stays of any
+// length with noise up to 40 m, moves shorter and longer than the
+// radius, and gaps both within and beyond the default MaxGap.
+func randomStayTrace(seed int64) []trace.Point {
+	rng := rand.New(rand.NewSource(seed))
+	b := newBuilder(origin, time.Second, seed)
+	for range 3 + rng.Intn(10) {
+		if rng.Intn(2) == 0 {
+			b.rate = time.Duration(1+rng.Intn(5)) * time.Second
+		} else {
+			b.rate = time.Duration(30+rng.Intn(571)) * time.Second
+		}
+		switch rng.Intn(4) {
+		case 0: // a hop around the radius: 10–300 m
+			b.walk(geo.Destination(b.pos, rng.Float64()*360, 10+rng.Float64()*290), 0.5+rng.Float64()*3)
+		case 1: // a trip across town
+			b.walk(geo.Destination(b.pos, rng.Float64()*360, 500+rng.Float64()*3000), 1+rng.Float64()*12)
+		case 2:
+			if rng.Intn(2) == 0 {
+				b.gap(13*time.Hour + time.Duration(rng.Intn(3600))*time.Second)
+			} else {
+				b.gap(time.Duration(rng.Intn(7200)) * time.Second)
+			}
+		}
+		b.stay(time.Duration(rng.Intn(45*60))*time.Second, rng.Float64()*40)
+	}
+	return b.pts
+}
+
+// TestPropertyMinVisitOnlyFilters checks the invariant Figure 2's
+// single replay relies on: at one radius, the stays extracted at a
+// visit time m are exactly the stays extracted at any shorter visit
+// time whose Duration() reaches m.
+func TestPropertyMinVisitOnlyFilters(t *testing.T) {
+	visits := []time.Duration{time.Minute, 5 * time.Minute, 10 * time.Minute, 20 * time.Minute, 30 * time.Minute}
+	dropped, kept := 0, 0
+	for seed := range int64(200) {
+		pts := randomStayTrace(seed)
+		for _, radius := range []float64{50, 100} {
+			stays := make([][]StayPoint, len(visits))
+			for i, v := range visits {
+				var err error
+				stays[i], err = Extract(trace.NewSliceSource(pts), Params{Radius: radius, MinVisit: v})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := range visits {
+				for j := i + 1; j < len(visits); j++ {
+					var filtered []StayPoint
+					for _, s := range stays[i] {
+						if s.Duration() >= visits[j] {
+							filtered = append(filtered, s)
+						}
+					}
+					dropped += len(stays[i]) - len(filtered)
+					kept += len(filtered)
+					if !slices.Equal(filtered, stays[j]) {
+						t.Fatalf("seed %d, radius %v: MinVisit %v gives %d stays, MinVisit %v filtered to %v gives %d:\n%v\n%v",
+							seed, radius, visits[j], len(stays[j]), visits[i], visits[j], len(filtered), stays[j], filtered)
+					}
+				}
+			}
+		}
+	}
+	// The corpus must exercise the filter both ways.
+	if dropped == 0 || kept == 0 {
+		t.Fatalf("vacuous corpus: %d stays dropped, %d kept", dropped, kept)
+	}
+	t.Logf("%d stays dropped by a longer visit time, %d kept", dropped, kept)
 }

@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -71,8 +72,31 @@ func mustEngine(t testing.TB, cfg Config) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { e.Close() })
+	t.Cleanup(func() {
+		if err := closeWithin(e); err != nil {
+			t.Error(err)
+		}
+	})
 	return e
+}
+
+// closeTimeout bounds every Close a test waits for.
+const closeTimeout = 5 * time.Second
+
+// closeWithin calls e.Close on its own goroutine and returns its
+// error, or an error of its own if Close has not returned within
+// closeTimeout. A Close that deadlocks then fails its test in seconds
+// instead of hanging the package until the test binary's timeout; the
+// blocked call is left behind.
+func closeWithin(e *Engine) error {
+	done := make(chan error, 1)
+	go func() { done <- e.Close() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(closeTimeout):
+		return fmt.Errorf("Close did not return within %v", closeTimeout)
+	}
 }
 
 func TestIngestAndRiskRoundTrip(t *testing.T) {
@@ -228,10 +252,10 @@ func TestCloseSemantics(t *testing.T) {
 	if err := e.Ingest(ctx, "alice", commute(0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Close(); err != nil {
+	if err := closeWithin(e); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Close(); err != nil {
+	if err := closeWithin(e); err != nil {
 		t.Fatal("second Close not idempotent:", err)
 	}
 	if err := e.Ingest(ctx, "alice", commute(0)[:1]); !errors.Is(err, ErrClosed) {

@@ -66,7 +66,9 @@ func TestBoundedMemoryUnderEviction(t *testing.T) {
 				t.Fatalf("seed %d epoch %d: footprint %d grew past early maximum %d", seed, epoch, fp, maxEarly)
 			}
 		}
-		e.Close()
+		if err := closeWithin(e); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

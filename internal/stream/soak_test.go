@@ -177,7 +177,7 @@ func TestSoakCloseWhileBusy(t *testing.T) {
 		}(u)
 	}
 	time.Sleep(5 * time.Millisecond)
-	if err := e.Close(); err != nil {
+	if err := closeWithin(e); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
