@@ -14,7 +14,7 @@ test:
 ## check is the CI gate: formatting, go vet, the domain lint suite,
 ## the full test suite under the race detector, vet and the tests of
 ## the benchmark module, short fuzz runs over every parser that
-## consumes untrusted input and every bit-identity oracle, and a
+## consumes untrusted input and every exactness oracle, and a
 ## known-vulnerability scan when the environment supports one.
 check: fmt vet lint race bench-check fuzz vuln
 
@@ -57,15 +57,17 @@ cover:
 
 # Ten-second fuzz passes over the three untrusted-input parsers
 # (market page scraping, dumpsys battery output, PLT trace files) and
-# the two bit-identity oracles: the geo batch kernels against their
-# scalar forms, and the merge-join histogram comparison against the
-# union-map alignment it replaced.
+# the three exactness oracles: the geo batch kernels against their
+# scalar forms, the merge-join histogram comparison against the
+# union-map alignment it replaced, and zone suppression's
+# latitude-gap skip against the haversine check it avoids.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzExtractManifest -fuzztime $(FUZZTIME) ./internal/market
 	$(GO) test -run '^$$' -fuzz FuzzParseDumpsys -fuzztime $(FUZZTIME) ./internal/android
 	$(GO) test -run '^$$' -fuzz FuzzRead -fuzztime $(FUZZTIME) ./internal/trace/plt
 	$(GO) test -run '^$$' -fuzz FuzzBatchKernelsBitIdentical -fuzztime $(FUZZTIME) ./internal/geo
 	$(GO) test -run '^$$' -fuzz FuzzCompareBitIdentical -fuzztime $(FUZZTIME) ./internal/stats
+	$(GO) test -run '^$$' -fuzz FuzzSuppressExact -fuzztime $(FUZZTIME) ./internal/mitigation
 
 # Known-vulnerability scan. govulncheck needs both its binary and the
 # database at https://vuln.go.dev, so environments missing either skip

@@ -161,7 +161,9 @@ func main() {
 			log.Fatalf("%s: %v", name, err)
 		}
 		sp.End()
-		emit("=== %s (%v) ===\n%s\n", name, time.Since(start).Round(time.Second), r.Render())
+		// The time goes to stderr, so stdout depends only on the inputs.
+		log.Printf("%s: %v", name, time.Since(start).Round(time.Second))
+		emit("=== %s ===\n%s\n", name, r.Render())
 	}
 
 	want := func(name string) bool { return *exp == "all" || strings.EqualFold(*exp, name) }

@@ -112,6 +112,36 @@ type Exposure struct {
 	Breaches int
 }
 
+// add sums o into e.
+func (e *Exposure) add(o Exposure) {
+	e.PoIsDiscovered += o.PoIsDiscovered
+	e.PoIsTotal += o.PoIsTotal
+	e.SensitiveDiscovered += o.SensitiveDiscovered
+	e.SensitiveTotal += o.SensitiveTotal
+	e.Breaches += o.Breaches
+}
+
+// score measures what the observed profile obs reveals of a user whose
+// ground-truth profile is gt: PoI and sensitive-place coverage, and
+// one breach when either pattern's His_bin fires. It only reads both
+// profiles, so obs may be gt itself.
+func (l *Lab) score(gt, obs *core.Profile) (Exposure, error) {
+	var e Exposure
+	e.PoIsTotal, e.PoIsDiscovered = gt.Coverage(obs)
+	e.SensitiveTotal, e.SensitiveDiscovered = gt.SensitiveCoverage(obs, l.cfg.SensitiveMaxVisits)
+	for _, pattern := range patterns {
+		bin, err := gt.HisBin(obs, pattern)
+		if err != nil {
+			return Exposure{}, err
+		}
+		if bin == 1 {
+			e.Breaches = 1
+			break
+		}
+	}
+	return e, nil
+}
+
 // exposure builds each user's observed profile from the stream observe
 // returns, scores it against the user's ground-truth profile, and sums
 // the scores in user-id order.
@@ -126,28 +156,12 @@ func (l *Lab) exposure(ground []*core.Profile, observe func(id int) (trace.Sourc
 		if err != nil {
 			return err
 		}
-		e := &perUser[id]
-		e.PoIsTotal, e.PoIsDiscovered = ground[id].Coverage(obs)
-		e.SensitiveTotal, e.SensitiveDiscovered = ground[id].SensitiveCoverage(obs, l.cfg.SensitiveMaxVisits)
-		for _, pattern := range patterns {
-			bin, err := ground[id].HisBin(obs, pattern)
-			if err != nil {
-				return err
-			}
-			if bin == 1 {
-				e.Breaches = 1
-				break
-			}
-		}
-		return nil
+		perUser[id], err = l.score(ground[id], obs)
+		return err
 	})
 	var sum Exposure
 	for _, e := range perUser {
-		sum.PoIsDiscovered += e.PoIsDiscovered
-		sum.PoIsTotal += e.PoIsTotal
-		sum.SensitiveDiscovered += e.SensitiveDiscovered
-		sum.SensitiveTotal += e.SensitiveTotal
-		sum.Breaches += e.Breaches
+		sum.add(e)
 	}
 	return sum, err
 }
@@ -157,9 +171,41 @@ type AblationMitigationResult struct {
 	Rows []AblationMitigationRow
 }
 
+// observer is one defense of the sweep and the profile builder that
+// sees what it releases.
+type observer struct {
+	slot int // the defense's row
+	d    mitigation.Defense
+	b    *core.ProfileBuilder
+}
+
+// observers feeds one replay through several defenses, each into its
+// own builder. AblationMitigation passes its Feed to trace.ForEach as a
+// method value, for the reason extractors gives.
+type observers []observer
+
+// Feed applies every defense to p and feeds what each releases to its
+// builder, stopping at the first error.
+func (obs observers) Feed(p trace.Point) error {
+	for _, o := range obs {
+		if q, ok := o.d.Apply(p); ok {
+			if err := o.b.Feed(q); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // AblationMitigation replays every user's native-rate stream through
 // each defense and re-measures PoI coverage, sensitive coverage, and
 // His_bin breach.
+//
+// Each user's trace is generated once and feeds every defense, each
+// into its own profile builder. A defense that releases the raw stream
+// (none, and suppression for a user without sensitive places) would
+// rebuild the user's ground-truth profile from the same trace with the
+// same parameters, so ground[id] is scored in its place.
 func AblationMitigation(l *Lab) (*AblationMitigationResult, error) {
 	ground, err := l.Profiles()
 	if err != nil {
@@ -168,60 +214,84 @@ func AblationMitigation(l *Lab) (*AblationMitigationResult, error) {
 	anchor := l.cfg.Mobility.CityCenter
 	decoyPos := geo.Destination(anchor, 45, l.cfg.Mobility.CityRadius*2)
 
+	// Each defense is built per user: RateLimit keeps one stream's
+	// schedule, and suppression protects the user's own places. A nil
+	// defense releases the raw stream.
 	type defense struct {
-		name string
-		wrap func(id int, src trace.Source) (trace.Source, error)
+		name  string
+		build func(id int) (mitigation.Defense, error)
 	}
-	defenses := []defense{
-		{"none", func(_ int, s trace.Source) (trace.Source, error) { return s, nil }},
-		{"truncate-4digits", func(_ int, s trace.Source) (trace.Source, error) {
-			return mitigation.NewTruncate(s, 4), nil
-		}},
-		{"truncate-3digits", func(_ int, s trace.Source) (trace.Source, error) {
-			return mitigation.NewTruncate(s, 3), nil
-		}},
-		{"truncate-2digits", func(_ int, s trace.Source) (trace.Source, error) {
-			return mitigation.NewTruncate(s, 2), nil
-		}},
-		{"coarsen-250m", func(_ int, s trace.Source) (trace.Source, error) {
-			return mitigation.NewCoarsen(s, anchor, 250)
-		}},
-		{"coarsen-1km", func(_ int, s trace.Source) (trace.Source, error) {
-			return mitigation.NewCoarsen(s, anchor, 1000)
-		}},
-		{"ratelimit-60s", func(_ int, s trace.Source) (trace.Source, error) {
-			return mitigation.NewRateLimit(s, time.Minute)
-		}},
-		{"ratelimit-600s", func(_ int, s trace.Source) (trace.Source, error) {
-			return mitigation.NewRateLimit(s, 10*time.Minute)
-		}},
-		{"suppress-sensitive", func(id int, s trace.Source) (trace.Source, error) {
+	defenses := [...]defense{
+		{"none", func(int) (mitigation.Defense, error) { return nil, nil }},
+		{"truncate-4digits", func(int) (mitigation.Defense, error) { return mitigation.NewTruncate(4), nil }},
+		{"truncate-3digits", func(int) (mitigation.Defense, error) { return mitigation.NewTruncate(3), nil }},
+		{"truncate-2digits", func(int) (mitigation.Defense, error) { return mitigation.NewTruncate(2), nil }},
+		{"coarsen-250m", func(int) (mitigation.Defense, error) { return mitigation.NewCoarsen(anchor, 250) }},
+		{"coarsen-1km", func(int) (mitigation.Defense, error) { return mitigation.NewCoarsen(anchor, 1000) }},
+		{"ratelimit-60s", func(int) (mitigation.Defense, error) { return mitigation.NewRateLimit(time.Minute) }},
+		{"ratelimit-600s", func(int) (mitigation.Defense, error) { return mitigation.NewRateLimit(10 * time.Minute) }},
+		{"suppress-sensitive", func(id int) (mitigation.Defense, error) {
 			var centers []geo.LatLon
 			for _, pl := range ground[id].SensitivePlaces(l.cfg.SensitiveMaxVisits) {
 				centers = append(centers, pl.Pos)
 			}
 			if len(centers) == 0 {
-				return s, nil
+				return nil, nil
 			}
-			return mitigation.NewSuppress(s, centers, 200)
+			return mitigation.NewSuppress(centers, 200)
 		}},
-		{"decoy", func(_ int, s trace.Source) (trace.Source, error) {
-			return mitigation.NewDecoy(s, decoyPos), nil
-		}},
+		{"decoy", func(int) (mitigation.Defense, error) { return mitigation.NewDecoy(decoyPos), nil }},
 	}
 
-	res := &AblationMitigationResult{}
-	for _, d := range defenses {
-		row := AblationMitigationRow{Name: d.name}
-		row.Exposure, err = l.exposure(ground, func(id int) (trace.Source, error) {
-			src, err := l.world.Trace(id, 0)
-			if err != nil {
-				return nil, err
+	perUser := make([][len(defenses)]Exposure, l.world.NumUsers())
+	err = l.forEachUser(func(id int) error {
+		var observed [len(defenses)]*core.Profile
+		fan := make(observers, 0, len(defenses))
+		defer func() {
+			for _, o := range fan {
+				o.b.Release()
 			}
-			return d.wrap(id, src)
-		})
+		}()
+		for i, d := range defenses {
+			def, err := d.build(id)
+			if err != nil {
+				return err
+			}
+			if def == nil {
+				observed[i] = ground[id]
+				continue
+			}
+			b, err := core.NewProfileBuilder(anchor, l.cfg.Core)
+			if err != nil {
+				return err
+			}
+			fan = append(fan, observer{slot: i, d: def, b: b})
+		}
+		src, err := l.world.Trace(id, 0)
 		if err != nil {
-			return nil, err
+			return err
+		}
+		if err := trace.ForEach(src, fan.Feed); err != nil {
+			return err
+		}
+		for _, o := range fan {
+			observed[o.slot] = o.b.Profile()
+		}
+		for i, obs := range observed {
+			if perUser[id][i], err = l.score(ground[id], obs); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	res := &AblationMitigationResult{}
+	for i, d := range defenses {
+		row := AblationMitigationRow{Name: d.name}
+		for _, e := range perUser {
+			row.add(e[i])
 		}
 		res.Rows = append(res.Rows, row)
 	}

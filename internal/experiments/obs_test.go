@@ -161,6 +161,30 @@ func TestLabPoolGaugeBalance(t *testing.T) {
 	}
 }
 
+// onePassFixes returns the fixes of one native-rate replay of every
+// user of tinyConfig's world, counted on a lab without metrics.
+func onePassFixes(t *testing.T) uint64 {
+	t.Helper()
+	plain := mustLab(t, tinyConfig())
+	defer plain.Close()
+	var n uint64
+	for u := range plain.World().NumUsers() {
+		src, err := plain.World().Trace(u, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := trace.Count(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += uint64(c)
+	}
+	if n == 0 {
+		t.Fatal("the tiny world generated no fixes")
+	}
+	return n
+}
+
 // TestFigure2ReplaysOnce pins Figure2 to one native-rate pass over
 // every user's trace: the lab's mobility fix counter must equal the
 // fixes of one replay, counted on a second lab without metrics. Fix
@@ -175,26 +199,34 @@ func TestFigure2ReplaysOnce(t *testing.T) {
 	if _, err := Figure2(l); err != nil {
 		t.Fatal(err)
 	}
-
-	plain := mustLab(t, tinyConfig())
-	defer plain.Close()
-	var onePass uint64
-	for u := range plain.World().NumUsers() {
-		src, err := plain.World().Trace(u, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := trace.Count(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		onePass += uint64(n)
-	}
-	if onePass == 0 {
-		t.Fatal("the tiny world generated no fixes")
-	}
+	onePass := onePassFixes(t)
 	if got := reg.Counter("locwatch_mobility_fixes_total").Value(); got != onePass {
 		t.Errorf("Figure2 generated %d fixes, one native pass is %d (%.2f passes)",
+			got, onePass, float64(got)/float64(onePass))
+	}
+}
+
+// TestAblationMitigationReplaysOnce pins the defense sweep to one
+// native-rate pass over every user's trace, on top of the ground-truth
+// profiles it reads: a driver that replays once per defense fails here
+// at ten times the count.
+func TestAblationMitigationReplaysOnce(t *testing.T) {
+	cfg := tinyConfig()
+	reg := obs.NewRegistry()
+	cfg.Obs = reg
+	l := mustLab(t, cfg)
+	defer l.Close()
+	if _, err := l.Profiles(); err != nil {
+		t.Fatal(err)
+	}
+	fixes := reg.Counter("locwatch_mobility_fixes_total")
+	before := fixes.Value()
+	if _, err := AblationMitigation(l); err != nil {
+		t.Fatal(err)
+	}
+	onePass := onePassFixes(t)
+	if got := fixes.Value() - before; got != onePass {
+		t.Errorf("AblationMitigation generated %d fixes, one native pass is %d (%.2f passes)",
 			got, onePass, float64(got)/float64(onePass))
 	}
 }

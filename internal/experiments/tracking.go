@@ -39,19 +39,19 @@ type TrackingResult struct {
 // affect trackability.
 func AblationTracking(l *Lab) (*TrackingResult, error) {
 	type policy struct {
-		name string
-		wrap func(trace.Source) (trace.Source, error)
+		name    string
+		defense func() (mitigation.Defense, error) // nil releases the raw stream
 	}
 	policies := []policy{
-		{"raw", func(s trace.Source) (trace.Source, error) { return s, nil }},
-		{"coarsen-1km", func(s trace.Source) (trace.Source, error) {
-			return mitigation.NewCoarsen(s, l.cfg.Mobility.CityCenter, 1000)
+		{"raw", nil},
+		{"coarsen-1km", func() (mitigation.Defense, error) {
+			return mitigation.NewCoarsen(l.cfg.Mobility.CityCenter, 1000)
 		}},
-		{"truncate-2digits", func(s trace.Source) (trace.Source, error) {
-			return mitigation.NewTruncate(s, 2), nil
+		{"truncate-2digits", func() (mitigation.Defense, error) {
+			return mitigation.NewTruncate(2), nil
 		}},
-		{"ratelimit-30min", func(s trace.Source) (trace.Source, error) {
-			return mitigation.NewRateLimit(s, 30*time.Minute)
+		{"ratelimit-30min", func() (mitigation.Defense, error) {
+			return mitigation.NewRateLimit(30 * time.Minute)
 		}},
 	}
 
@@ -67,9 +67,14 @@ func AblationTracking(l *Lab) (*TrackingResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			if sources[id], err = p.wrap(src); err != nil {
-				return nil, err
+			if p.defense != nil {
+				d, err := p.defense()
+				if err != nil {
+					return nil, err
+				}
+				src = mitigation.Stream(src, d)
 			}
+			sources[id] = src
 		}
 		aligned, err := anonymize.Align(sources, start, end, trackGrid)
 		if err != nil {

@@ -341,17 +341,25 @@ func (pr *Projection) PlanarDistance(p, q LatLon) float64 {
 // digits, the coordinate-truncation defense studied by Micinski et al.
 // Digits are clamped to [0, 8]. One decimal digit is roughly 11 km of
 // latitude; five digits roughly 1.1 m.
-func Truncate(p LatLon, digits int) LatLon {
-	if digits < 0 {
-		digits = 0
-	}
-	if digits > 8 {
-		digits = 8
-	}
-	scale := math.Pow(10, float64(digits))
+func Truncate(p LatLon, digits int) LatLon { return NewTruncation(digits).Apply(p) }
+
+// Truncation is Truncate at a fixed number of digits, with the power
+// of ten computed once for loops that truncate every fix.
+type Truncation struct {
+	scale float64
+}
+
+// NewTruncation returns truncation to digits decimal digits, clamped
+// to [0, 8] like Truncate.
+func NewTruncation(digits int) Truncation {
+	return Truncation{scale: math.Pow(10, float64(min(max(digits, 0), 8)))}
+}
+
+// Apply returns p truncated.
+func (t Truncation) Apply(p LatLon) LatLon {
 	return LatLon{
-		Lat: math.Trunc(p.Lat*scale) / scale,
-		Lon: math.Trunc(p.Lon*scale) / scale,
+		Lat: math.Trunc(p.Lat*t.scale) / t.scale,
+		Lon: math.Trunc(p.Lon*t.scale) / t.scale,
 	}
 }
 

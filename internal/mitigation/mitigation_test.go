@@ -1,6 +1,7 @@
 package mitigation
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -51,10 +52,9 @@ func commute(seed int64, days int) []trace.Point {
 
 func TestTruncateDegradesPrecision(t *testing.T) {
 	pts := commute(1, 1)
-	tr := NewTruncate(trace.NewSliceSource(pts), 2)
-	p, err := tr.Next()
-	if err != nil {
-		t.Fatal(err)
+	p, ok := NewTruncate(2).Apply(pts[0])
+	if !ok {
+		t.Fatal("truncation withheld a fix")
 	}
 	if p.Pos != geo.Truncate(pts[0].Pos, 2) {
 		t.Fatalf("truncation not applied: %v", p.Pos)
@@ -81,7 +81,7 @@ func TestTruncateKillsPoIExtraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs, err := core.BuildProfile(NewTruncate(trace.NewSliceSource(pts), 2), anchor, core.Params{})
+	obs, err := core.BuildProfile(Stream(trace.NewSliceSource(pts), NewTruncate(2)), anchor, core.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,19 +91,19 @@ func TestTruncateKillsPoIExtraction(t *testing.T) {
 }
 
 func TestCoarsenValidationAndEffect(t *testing.T) {
-	if _, err := NewCoarsen(nil, anchor, 0); err == nil {
+	if _, err := NewCoarsen(anchor, 0); err == nil {
 		t.Fatal("zero cell accepted")
 	}
 	pts := commute(3, 1)
-	c, err := NewCoarsen(trace.NewSliceSource(pts), anchor, 500)
+	c, err := NewCoarsen(anchor, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
 	proj := geo.NewProjection(anchor)
-	for i := 0; i < 100; i++ {
-		p, err := c.Next()
-		if err != nil {
-			t.Fatal(err)
+	for _, p := range pts[:100] {
+		p, ok := c.Apply(p)
+		if !ok {
+			t.Fatal("coarsening withheld a fix")
 		}
 		if snapped := proj.SnapToGrid(p.Pos, 500); snapped != p.Pos {
 			t.Fatal("point not on grid")
@@ -117,11 +117,11 @@ func TestCoarsenReducesMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coarse, err := NewCoarsen(trace.NewSliceSource(pts), anchor, 2000)
+	coarse, err := NewCoarsen(anchor, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs, err := core.BuildProfile(coarse, anchor, core.Params{})
+	obs, err := core.BuildProfile(Stream(trace.NewSliceSource(pts), coarse), anchor, core.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,19 +132,18 @@ func TestCoarsenReducesMetrics(t *testing.T) {
 }
 
 func TestSuppressDropsProtectedZone(t *testing.T) {
-	if _, err := NewSuppress(nil, nil, 0); err == nil {
+	if _, err := NewSuppress(nil, 0); err == nil {
 		t.Fatal("zero radius accepted")
 	}
 	pts := commute(5, 2)
-	s, err := NewSuppress(trace.NewSliceSource(pts), []geo.LatLon{workPos}, 150)
+	s, err := NewSuppress([]geo.LatLon{workPos}, 150)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := 0
-	for {
-		p, err := s.Next()
-		if err != nil {
-			break
+	for _, p := range pts {
+		if _, ok := s.Apply(p); !ok {
+			continue
 		}
 		n++
 		if geo.Distance(p.Pos, workPos) <= 150 {
@@ -159,8 +158,7 @@ func TestSuppressDropsProtectedZone(t *testing.T) {
 	// the entry/exit fixes on the zone boundary straddling the data
 	// hole can still merge into a boundary stay (Hoh et al.'s path
 	// inference), which is why suppression alone is a weak defense.
-	s2, _ := NewSuppress(trace.NewSliceSource(pts), []geo.LatLon{workPos}, 150)
-	stays, err := poi.Extract(s2, poi.DefaultParams())
+	stays, err := poi.Extract(Stream(trace.NewSliceSource(pts), s), poi.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +176,7 @@ func TestDecoyHidesEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs, err := core.BuildProfile(NewDecoy(trace.NewSliceSource(pts), fake), anchor, core.Params{})
+	obs, err := core.BuildProfile(Stream(trace.NewSliceSource(pts), NewDecoy(fake)), anchor, core.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,20 +193,19 @@ func TestDecoyHidesEverything(t *testing.T) {
 }
 
 func TestRateLimit(t *testing.T) {
-	if _, err := NewRateLimit(nil, 0); err == nil {
+	if _, err := NewRateLimit(0); err == nil {
 		t.Fatal("zero rate limit accepted")
 	}
 	pts := commute(7, 1)
-	rl, err := NewRateLimit(trace.NewSliceSource(pts), 10*time.Minute)
+	rl, err := NewRateLimit(10 * time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var prev time.Time
 	n := 0
-	for {
-		p, err := rl.Next()
-		if err != nil {
-			break
+	for _, p := range pts {
+		if _, ok := rl.Apply(p); !ok {
+			continue
 		}
 		if n > 0 && p.T.Sub(prev) < 10*time.Minute {
 			t.Fatalf("spacing %v below the limit", p.T.Sub(prev))
@@ -221,35 +218,14 @@ func TestRateLimit(t *testing.T) {
 	}
 }
 
-func TestChainComposes(t *testing.T) {
-	pts := commute(8, 1)
-	src := Chain(trace.NewSliceSource(pts),
-		func(s trace.Source) trace.Source { return NewTruncate(s, 3) },
-		func(s trace.Source) trace.Source {
-			rl, err := NewRateLimit(s, time.Minute)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return rl
-		},
-	)
-	n, err := trace.Count(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 || n >= len(pts) {
-		t.Fatalf("chained stream has %d of %d points", n, len(pts))
-	}
-}
-
 func TestMitigationPreservesTimeOrder(t *testing.T) {
 	pts := commute(9, 2)
 	sources := map[string]trace.Source{
-		"truncate": NewTruncate(trace.NewSliceSource(pts), 3),
-		"decoy":    NewDecoy(trace.NewSliceSource(pts), anchor),
+		"truncate": Stream(trace.NewSliceSource(pts), NewTruncate(3)),
+		"decoy":    Stream(trace.NewSliceSource(pts), NewDecoy(anchor)),
 	}
-	if c, err := NewCoarsen(trace.NewSliceSource(pts), anchor, 300); err == nil {
-		sources["coarsen"] = c
+	if c, err := NewCoarsen(anchor, 300); err == nil {
+		sources["coarsen"] = Stream(trace.NewSliceSource(pts), c)
 	}
 	for name, src := range sources {
 		var prev time.Time
@@ -264,4 +240,158 @@ func TestMitigationPreservesTimeOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestStreamYieldsApplied checks the pull adapter against the push
+// form: for every defense, Stream yields exactly the fixes Apply
+// releases, as Apply releases them, in order.
+func TestStreamYieldsApplied(t *testing.T) {
+	pts := commute(10, 2)
+	// Each constructor is called twice, so a stateful defense starts
+	// afresh on each side.
+	defenses := map[string]func() (Defense, error){
+		"truncate": func() (Defense, error) { return NewTruncate(3), nil },
+		"coarsen":  func() (Defense, error) { return NewCoarsen(anchor, 250) },
+		"suppress": func() (Defense, error) { return NewSuppress([]geo.LatLon{workPos}, 150) },
+		"decoy":    func() (Defense, error) { return NewDecoy(workPos), nil },
+		"ratelimit": func() (Defense, error) {
+			return NewRateLimit(90 * time.Second)
+		},
+	}
+	for name, build := range defenses {
+		push, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []trace.Point
+		for _, p := range pts {
+			if q, ok := push.Apply(p); ok {
+				want = append(want, q)
+			}
+		}
+		pull, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := trace.Collect(Stream(trace.NewSliceSource(pts), pull), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Points) != len(want) {
+			t.Fatalf("%s: Stream yielded %d fixes, Apply released %d", name, len(got.Points), len(want))
+		}
+		for i := range want {
+			if got.Points[i] != want[i] {
+				t.Fatalf("%s: fix %d is %v through Stream, %v through Apply", name, i, got.Points[i], want[i])
+			}
+		}
+	}
+}
+
+// TestRateLimitMatchesSampler checks that RateLimit is trace.Sampler's
+// mechanism: on random traces, with repeated timestamps and gaps both
+// shorter and longer than the limit, it releases exactly the fixes a
+// Sampler at that interval releases.
+func TestRateLimitMatchesSampler(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		pts := make([]trace.Point, 1+rng.Intn(400))
+		now := mStart
+		for i := range pts {
+			switch rng.Intn(4) {
+			case 0: // a repeated timestamp
+			case 1:
+				now = now.Add(time.Duration(rng.Intn(5)+1) * time.Second)
+			default:
+				now = now.Add(time.Duration(rng.Int63n(int64(20 * time.Minute))))
+			}
+			// Distinct positions make every fix distinguishable, so
+			// equal output sequences mean equal decisions fix by fix.
+			pts[i] = trace.Point{Pos: geo.Destination(anchor, 90, float64(i)), T: now}
+		}
+		limit := time.Duration(1+rng.Int63n(int64(30*time.Minute))) + time.Second
+		rl, err := NewRateLimit(limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sampled, err := trace.Collect(trace.NewSampler(trace.NewSliceSource(pts), limit, 0), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := 0
+		for i, p := range pts {
+			_, kept := rl.Apply(p)
+			sampledHere := next < len(sampled.Points) && sampled.Points[next] == p
+			if kept != sampledHere {
+				t.Fatalf("trial %d, fix %d of %d at limit %v: RateLimit keeps it %v, Sampler %v",
+					trial, i, len(pts), limit, kept, sampledHere)
+			}
+			if sampledHere {
+				next++
+			}
+		}
+		if next != len(sampled.Points) {
+			t.Fatalf("trial %d: Sampler released %d fixes, RateLimit matched %d", trial, len(sampled.Points), next)
+		}
+	}
+}
+
+// FuzzSuppressExact checks Suppress's latitude-gap skip against the
+// exact decision it replaces: a fix is withheld exactly when its
+// haversine distance to the center is at most the radius. The seeds
+// cover city-scale, polar and antipodal pairs, latitudes beyond ±90°
+// (where the skip's bound fails), non-finite values, radii at the
+// computed distance and one ulp to each side, latitude gaps that
+// round above the distance, and a gap small enough that Distance
+// underflows to zero.
+func FuzzSuppressExact(f *testing.F) {
+	type pair struct{ lat, lon, cLat, cLon float64 }
+	pairs := []pair{
+		{39.9042, 116.4074, 39.9060, 116.4074},  // 200 m north
+		{39.9042, 116.4074, 39.9042, 116.4097},  // 200 m east
+		{39.9042, 116.4074, 39.9100, 116.4500},  // across town
+		{89.9999, 10, 89.9999, -170},            // over the north pole
+		{-90, 0, -89.99, 45},                    // at the south pole
+		{39.9042, 116.4074, -39.9042, -63.5926}, // antipodal
+		{0, 0, 0, 180},                          // antipodal on the equator
+		{95, 0, 85, 179.9},                      // past the pole: 969 m apart
+		// Latitude gaps whose EarthRadius·|Δφ| rounds above Distance.
+		{-34.49091569123896, -144.91633737631804, -34.481972073945656, -144.91633737631804},
+		{58.791573832167074, 51.04234468784989, 58.79407076417871, 51.04234468784989},
+		{-120, 30, 40, 30},                     // out of range
+		{0, 0, 1e-320, 0},                      // Distance underflows to 0
+		{math.NaN(), 0, 39.9, 116.4},           // NaN latitude
+		{39.9, math.Inf(1), 39.9, 116.4},       // infinite longitude
+		{math.Inf(-1), 0, 39.9, 116.4},         // infinite latitude
+		{39.9042, 116.4074, 39.9042, 116.4074}, // the center itself
+	}
+	for _, p := range pairs {
+		d := geo.Distance(geo.LatLon{Lat: p.lat, Lon: p.lon}, geo.LatLon{Lat: p.cLat, Lon: p.cLon})
+		for _, radius := range []float64{200, d, math.Nextafter(d, 0), math.Nextafter(d, math.Inf(1))} {
+			f.Add(p.lat, p.lon, p.cLat, p.cLon, radius)
+		}
+	}
+	f.Add(0.0, 0.0, 1e-320, 0.0, 1e-316)
+	f.Add(39.9, 116.4, 40.0, 116.4, math.NaN())
+	f.Add(39.9, 116.4, 40.0, 116.4, math.Inf(1))
+	f.Fuzz(func(t *testing.T, lat, lon, cLat, cLon, radius float64) {
+		pos := geo.LatLon{Lat: lat, Lon: lon}
+		center := geo.LatLon{Lat: cLat, Lon: cLon}
+		s, err := NewSuppress([]geo.LatLon{center}, radius)
+		if radius <= 0 {
+			if err == nil {
+				t.Fatalf("radius %v accepted", radius)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := geo.Distance(pos, center)
+		_, kept := s.Apply(trace.Point{Pos: pos, T: mStart})
+		if want := !(d <= radius); kept != want {
+			t.Fatalf("fix %v, center %v, radius %v (distance %v): kept %v, exact check %v",
+				pos, center, radius, d, kept, want)
+		}
+	})
 }

@@ -1,10 +1,8 @@
 package trace
 
 import (
-	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"time"
 )
 
@@ -15,11 +13,8 @@ import (
 // most one update per interval, and receives it as soon as a fix is
 // available after the interval elapses.
 type Sampler struct {
-	src      Source
-	interval time.Duration
-	phase    time.Duration
-	next     time.Time // zero until the first point is seen
-	started  bool
+	src  Source
+	gate Gate
 }
 
 // NewSampler returns a Sampler releasing at most one point per
@@ -28,10 +23,7 @@ type Sampler struct {
 // the stream, modeling an app that begins observing mid-trace (used by
 // the Figure 4(b) random-start experiment).
 func NewSampler(src Source, interval, phase time.Duration) *Sampler {
-	if phase < 0 {
-		phase = 0
-	}
-	return &Sampler{src: src, interval: interval, phase: phase}
+	return &Sampler{src: src, gate: NewGate(interval, phase)}
 }
 
 var _ Source = (*Sampler)(nil)
@@ -43,60 +35,51 @@ func (s *Sampler) Next() (Point, error) {
 		if err != nil {
 			return Point{}, err
 		}
-		if s.interval <= 0 && s.phase == 0 {
-			return p, nil
-		}
-		if !s.started {
-			s.next = p.T.Add(s.phase)
-			s.started = true
-		}
-		if p.T.Before(s.next) {
-			continue
-		}
-		if s.interval <= 0 {
-			return p, nil
-		}
-		// Release this point and schedule the next access. Scheduling
-		// from the released fix (not from the nominal instant) matches
-		// a periodic listener re-armed on each callback.
-		s.next = p.T.Add(s.interval)
-		return p, nil
-	}
-}
-
-// Dropout models lossy collection (e.g. GPS outages or the app being
-// killed): each point is independently dropped with probability p.
-type Dropout struct {
-	src Source
-	p   float64
-	rng *rand.Rand
-}
-
-// NewDropout returns a Source dropping each point with probability p
-// (clamped to [0, 1)) using the given deterministic RNG.
-func NewDropout(src Source, p float64, rng *rand.Rand) *Dropout {
-	if p < 0 {
-		p = 0
-	}
-	if p >= 1 {
-		p = 0.999999
-	}
-	return &Dropout{src: src, p: p, rng: rng}
-}
-
-var _ Source = (*Dropout)(nil)
-
-// Next implements Source.
-func (d *Dropout) Next() (Point, error) {
-	for {
-		p, err := d.src.Next()
-		if err != nil {
-			return Point{}, err
-		}
-		if d.rng.Float64() >= d.p {
+		if s.gate.Keep(p) {
 			return p, nil
 		}
 	}
+}
+
+// Gate is Sampler's release decision in push form: Keep is told each
+// point of one stream in order and reports whether the app receives
+// it. A Gate holds the schedule of one stream, so it serves one stream
+// only.
+type Gate struct {
+	interval time.Duration
+	phase    time.Duration
+	next     time.Time // zero until the first point is seen
+	started  bool
+}
+
+// NewGate returns the decision NewSampler(src, interval, phase) makes;
+// a negative phase counts as zero.
+func NewGate(interval, phase time.Duration) Gate {
+	if phase < 0 {
+		phase = 0
+	}
+	return Gate{interval: interval, phase: phase}
+}
+
+// Keep reports whether p, the next point of the stream, is released.
+func (g *Gate) Keep(p Point) bool {
+	if g.interval <= 0 && g.phase == 0 {
+		return true
+	}
+	if !g.started {
+		g.next = p.T.Add(g.phase)
+		g.started = true
+	}
+	if p.T.Before(g.next) {
+		return false
+	}
+	if g.interval > 0 {
+		// Schedule the next access. Scheduling from the released fix
+		// (not from the nominal instant) matches a periodic listener
+		// re-armed on each callback.
+		g.next = p.T.Add(g.interval)
+	}
+	return true
 }
 
 // Head limits a source to its first n points.
@@ -155,32 +138,6 @@ func (w *TimeWindow) Next() (Point, error) {
 		}
 		return p, nil
 	}
-}
-
-// Concat chains sources one after another. It does not verify time
-// ordering across the boundary; callers compose ordered segments.
-type Concat struct {
-	srcs []Source
-}
-
-// NewConcat returns a Source streaming each src in turn.
-func NewConcat(srcs ...Source) *Concat {
-	return &Concat{srcs: srcs}
-}
-
-var _ Source = (*Concat)(nil)
-
-// Next implements Source.
-func (c *Concat) Next() (Point, error) {
-	for len(c.srcs) > 0 {
-		p, err := c.srcs[0].Next()
-		if errors.Is(err, io.EOF) {
-			c.srcs = c.srcs[1:]
-			continue
-		}
-		return p, err
-	}
-	return Point{}, io.EOF
 }
 
 // Split partitions a source into trajectories: maximal runs of points

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"testing"
 	"time"
 
@@ -227,26 +226,6 @@ func TestSamplerNegativePhaseClamped(t *testing.T) {
 	}
 }
 
-func TestDropout(t *testing.T) {
-	pts := linearPoints(2000)
-	rng := newTestRand(99)
-	d := NewDropout(NewSliceSource(pts), 0.3, rng)
-	n, err := Count(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n < 1250 || n > 1550 {
-		t.Fatalf("dropout 0.3 kept %d/2000 points", n)
-	}
-	// p=0 keeps everything; p>=1 is clamped so the stream still ends.
-	if n, _ := Count(NewDropout(NewSliceSource(pts), 0, rng)); n != 2000 {
-		t.Fatalf("p=0 kept %d", n)
-	}
-	if n, _ := Count(NewDropout(NewSliceSource(pts), 1.5, rng)); n == 2000 {
-		t.Fatal("p=1.5 should drop nearly everything")
-	}
-}
-
 func TestHead(t *testing.T) {
 	pts := linearPoints(10)
 	n, err := Count(NewHead(NewSliceSource(pts), 4))
@@ -284,22 +263,6 @@ func TestTimeWindow(t *testing.T) {
 	n, _ = Count(NewTimeWindow(NewSliceSource(pts), t0.Add(95*time.Second), time.Time{}))
 	if n != 5 {
 		t.Fatalf("left-bounded window = %d", n)
-	}
-}
-
-func TestConcat(t *testing.T) {
-	a := linearPoints(3)
-	b := make([]Point, 2)
-	for i := range b {
-		b[i] = Point{T: t0.Add(time.Duration(100+i) * time.Second)}
-	}
-	c := NewConcat(NewSliceSource(a), NewSliceSource(b))
-	n, err := Count(c)
-	if err != nil || n != 5 {
-		t.Fatalf("Concat = %d, %v", n, err)
-	}
-	if n, _ := Count(NewConcat()); n != 0 {
-		t.Fatal("empty Concat should be empty")
 	}
 }
 
@@ -356,8 +319,6 @@ func BenchmarkSampler(b *testing.B) {
 		}
 	}
 }
-
-func newTestRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 func ExampleSampler() {
 	pts := linearPoints(30)

@@ -257,24 +257,40 @@ func GenerateMarket(seed int64) (*Market, error) { return market.Generate(seed) 
 // Defenses.
 
 // TruncateStream applies coordinate truncation (Micinski et al.).
-func TruncateStream(src Source, digits int) Source { return mitigation.NewTruncate(src, digits) }
+func TruncateStream(src Source, digits int) Source {
+	return mitigation.Stream(src, mitigation.NewTruncate(digits))
+}
 
 // CoarsenStream snaps fixes to a grid (LP-Guardian style).
 func CoarsenStream(src Source, anchor LatLon, cell float64) (Source, error) {
-	return mitigation.NewCoarsen(src, anchor, cell)
+	c, err := mitigation.NewCoarsen(anchor, cell)
+	if err != nil {
+		return nil, err
+	}
+	return mitigation.Stream(src, c), nil
 }
 
 // SuppressStream drops fixes near protected places.
 func SuppressStream(src Source, centers []LatLon, radius float64) (Source, error) {
-	return mitigation.NewSuppress(src, centers, radius)
+	s, err := mitigation.NewSuppress(centers, radius)
+	if err != nil {
+		return nil, err
+	}
+	return mitigation.Stream(src, s), nil
 }
 
 // DecoyStream releases a fixed fake location (MockDroid/TISSA style).
-func DecoyStream(src Source, pos LatLon) Source { return mitigation.NewDecoy(src, pos) }
+func DecoyStream(src Source, pos LatLon) Source {
+	return mitigation.Stream(src, mitigation.NewDecoy(pos))
+}
 
 // RateLimitStream enforces a minimum interval between released fixes.
 func RateLimitStream(src Source, min time.Duration) (Source, error) {
-	return mitigation.NewRateLimit(src, min)
+	r, err := mitigation.NewRateLimit(min)
+	if err != nil {
+		return nil, err
+	}
+	return mitigation.Stream(src, r), nil
 }
 
 // Trusted-server baselines & tracking metrics.
