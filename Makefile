@@ -28,15 +28,12 @@ vet:
 	$(GO) vet ./...
 
 # The domain analyzers: the syntactic tier (latlonbounds,
-# durationseconds), the flow-sensitive tier (nilfacade, exhaustenum,
-# errflow) and the interprocedural tier (privtaint, plus nilfacade's
-# cross-function nilness). The run's findings are cached under
-# .lintcache, keyed by the Go version, the analyzer roster and the
-# source bytes of every listed package, so rerunning over an unchanged
-# tree replays them without loading anything. Exit status 1 means
-# findings.
+# durationseconds) and the flow-sensitive tier (nilfacade, exhaustenum,
+# errflow), each one package at a time. Whether raw coordinates leave
+# the process is tested at the exits instead (privlog.FindLeaks).
+# Exit status 1 means findings.
 lint:
-	$(GO) run ./cmd/locwatchlint -cache-dir .lintcache ./...
+	$(GO) run ./cmd/locwatchlint ./...
 
 race:
 	$(GO) test -race ./...
@@ -55,16 +52,21 @@ cover:
 	$(GO) test -cover -covermode=atomic -coverprofile=coverage.out ./... | tee coverage-summary.txt
 	$(GO) tool cover -func=coverage.out | tail -n 1
 
-# Ten-second fuzz passes over the three untrusted-input parsers
-# (market page scraping, dumpsys battery output, PLT trace files) and
-# the three exactness oracles: the geo batch kernels against their
-# scalar forms, the merge-join histogram comparison against the
-# union-map alignment it replaced, and zone suppression's
-# latitude-gap skip against the haversine check it avoids.
+# Ten-second fuzz passes over the four untrusted-input boundaries
+# (market page scraping, dumpsys battery output, PLT trace files and
+# locwatchd's ingest endpoint, whose responses and log must also carry
+# no fix the body sent) and the three exactness oracles: the geo batch
+# kernels against their scalar forms, the merge-join histogram
+# comparison against the union-map alignment it replaced, and zone
+# suppression's latitude-gap skip against the haversine check it
+# avoids. FuzzIngest starts an engine per input, so it tries one
+# shrink per new input: with the default minimization budget, a
+# 10-second pass spent most of its time shrinking inputs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzExtractManifest -fuzztime $(FUZZTIME) ./internal/market
 	$(GO) test -run '^$$' -fuzz FuzzParseDumpsys -fuzztime $(FUZZTIME) ./internal/android
 	$(GO) test -run '^$$' -fuzz FuzzRead -fuzztime $(FUZZTIME) ./internal/trace/plt
+	$(GO) test -run '^$$' -fuzz FuzzIngest -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/stream
 	$(GO) test -run '^$$' -fuzz FuzzBatchKernelsBitIdentical -fuzztime $(FUZZTIME) ./internal/geo
 	$(GO) test -run '^$$' -fuzz FuzzCompareBitIdentical -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run '^$$' -fuzz FuzzSuppressExact -fuzztime $(FUZZTIME) ./internal/mitigation

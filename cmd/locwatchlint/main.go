@@ -12,14 +12,9 @@
 //
 // Flags:
 //
-//	-format f     output format: text (default), json, or sarif
-//	              (SARIF 2.1.0 with witness paths as relatedLocations
-//	              and suppressed findings as suppressions)
-//	-cache-dir d  cache the run's findings under d, keyed by the
-//	              toolchain, the analyzer roster and the source bytes of
-//	              every listed package: an unchanged tree replays them
-//	              without loading anything
-//	-list         print the analyzer suite and exit
+//	-format f  output format: text (default), json, or sarif
+//	           (SARIF 2.1.0 with suppressed findings as suppressions)
+//	-list      print the analyzer suite and exit
 package main
 
 import (
@@ -38,7 +33,6 @@ func main() {
 	log.SetPrefix("locwatchlint: ")
 
 	format := flag.String("format", "text", "output format: text, json, or sarif")
-	cacheDir := flag.String("cache-dir", "", "cache the run's findings under this directory")
 	list := flag.Bool("list", false, "print the analyzer suite and exit")
 	flag.Parse()
 
@@ -60,11 +54,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	findings, _, err := lint.Check(lint.CheckOptions{
-		Dir:      root,
-		Patterns: flag.Args(),
-		CacheDir: *cacheDir,
-	})
+	findings, err := lint.Check(lint.CheckOptions{Dir: root, Patterns: flag.Args()})
 	if err != nil {
 		log.Print(err)
 		os.Exit(2)

@@ -12,8 +12,7 @@ import (
 
 // SARIF 2.1.0 output, the interchange format CI annotation viewers
 // consume. Only the subset the suite needs is modelled: one run, one
-// rule per analyzer, one result per finding, with witness-path hops
-// (privtaint) as relatedLocations.
+// rule per analyzer, one result per finding.
 
 type sarifLog struct {
 	Schema  string     `json:"$schema"`
@@ -45,12 +44,11 @@ type sarifMessage struct {
 }
 
 type sarifResult struct {
-	RuleID           string             `json:"ruleId"`
-	Level            string             `json:"level"`
-	Message          sarifMessage       `json:"message"`
-	Locations        []sarifLocation    `json:"locations"`
-	RelatedLocations []sarifLocation    `json:"relatedLocations,omitempty"`
-	Suppressions     []sarifSuppression `json:"suppressions,omitempty"`
+	RuleID       string             `json:"ruleId"`
+	Level        string             `json:"level"`
+	Message      sarifMessage       `json:"message"`
+	Locations    []sarifLocation    `json:"locations"`
+	Suppressions []sarifSuppression `json:"suppressions,omitempty"`
 }
 
 // sarifSuppression marks a result as silenced without dropping it —
@@ -63,7 +61,6 @@ type sarifSuppression struct {
 
 type sarifLocation struct {
 	PhysicalLocation sarifPhysical `json:"physicalLocation"`
-	Message          *sarifMessage `json:"message,omitempty"`
 }
 
 type sarifPhysical struct {
@@ -98,11 +95,7 @@ func writeSARIF(w io.Writer, root string, analyzers []*analysis.Analyzer, findin
 			RuleID:    f.Analyzer,
 			Level:     "warning",
 			Message:   sarifMessage{Text: f.Message},
-			Locations: []sarifLocation{sarifLoc(root, f.File, f.Line, f.Column, "")},
-		}
-		for _, rel := range f.Related {
-			r.RelatedLocations = append(r.RelatedLocations,
-				sarifLoc(root, rel.File, rel.Line, rel.Column, rel.Message))
+			Locations: []sarifLocation{sarifLoc(root, f.File, f.Line, f.Column)},
 		}
 		if f.Suppressed == lint.SuppressedInSource {
 			r.Suppressions = []sarifSuppression{{Kind: "inSource", Justification: f.Justification}}
@@ -122,18 +115,14 @@ func writeSARIF(w io.Writer, root string, analyzers []*analysis.Analyzer, findin
 	return enc.Encode(log)
 }
 
-func sarifLoc(root, file string, line, col int, msg string) sarifLocation {
+func sarifLoc(root, file string, line, col int) sarifLocation {
 	if root != "" {
 		if rel, err := filepath.Rel(root, file); err == nil && !strings.HasPrefix(rel, "..") {
 			file = rel
 		}
 	}
-	loc := sarifLocation{PhysicalLocation: sarifPhysical{
+	return sarifLocation{PhysicalLocation: sarifPhysical{
 		ArtifactLocation: sarifArtifact{URI: filepath.ToSlash(file)},
 		Region:           sarifRegion{StartLine: line, StartColumn: col},
 	}}
-	if msg != "" {
-		loc.Message = &sarifMessage{Text: msg}
-	}
-	return loc
 }

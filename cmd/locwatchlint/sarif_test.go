@@ -3,8 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"locwatch/internal/lint"
@@ -13,14 +11,11 @@ import (
 func TestWriteSARIF(t *testing.T) {
 	findings := []lint.Finding{
 		{
-			Analyzer: "privtaint",
+			Analyzer: "nilfacade",
 			File:     "/mod/internal/app/app.go",
 			Line:     12,
 			Column:   3,
-			Message:  "raw location data reaches fmt.Printf",
-			Related: []lint.RelatedFinding{
-				{File: "/mod/internal/helper/helper.go", Line: 7, Column: 2, Message: "via helper.Dump"},
-			},
+			Message:  "p may be nil at this field or method selection",
 		},
 		{
 			Analyzer: "latlonbounds",
@@ -59,16 +54,16 @@ func TestWriteSARIF(t *testing.T) {
 		}
 		ruleIDs[r.ID] = true
 	}
-	if !ruleIDs["privtaint"] {
-		t.Error("rules are missing privtaint")
+	if !ruleIDs["nilfacade"] {
+		t.Error("rules are missing nilfacade")
 	}
 
 	if len(run.Results) != 2 {
 		t.Fatalf("got %d results, want 2", len(run.Results))
 	}
 	r0 := run.Results[0]
-	if r0.RuleID != "privtaint" || r0.Level != "warning" {
-		t.Errorf("result 0 = %s/%s, want privtaint/warning", r0.RuleID, r0.Level)
+	if r0.RuleID != "nilfacade" || r0.Level != "warning" {
+		t.Errorf("result 0 = %s/%s, want nilfacade/warning", r0.RuleID, r0.Level)
 	}
 	loc := r0.Locations[0].PhysicalLocation
 	if loc.ArtifactLocation.URI != "internal/app/app.go" {
@@ -77,61 +72,10 @@ func TestWriteSARIF(t *testing.T) {
 	if loc.Region.StartLine != 12 || loc.Region.StartColumn != 3 {
 		t.Errorf("region = %+v, want 12:3", loc.Region)
 	}
-	if len(r0.RelatedLocations) != 1 {
-		t.Fatalf("got %d relatedLocations, want 1", len(r0.RelatedLocations))
-	}
-	rel := r0.RelatedLocations[0]
-	if rel.Message == nil || rel.Message.Text != "via helper.Dump" {
-		t.Errorf("related message = %+v, want via helper.Dump", rel.Message)
-	}
-	if rel.PhysicalLocation.ArtifactLocation.URI != "internal/helper/helper.go" {
-		t.Errorf("related uri = %q", rel.PhysicalLocation.ArtifactLocation.URI)
-	}
 
 	// A file outside the root keeps its absolute path.
 	if uri := run.Results[1].Locations[0].PhysicalLocation.ArtifactLocation.URI; uri != "/elsewhere/other.go" {
 		t.Errorf("out-of-root uri = %q, want /elsewhere/other.go", uri)
-	}
-}
-
-// TestSARIFColdVsWarm is the end-to-end incremental contract at the
-// output layer: the SARIF log rendered from a cold cached run and from
-// the warm all-hits run that follows must be byte-identical.
-func TestSARIFColdVsWarm(t *testing.T) {
-	root := t.TempDir()
-	files := map[string]string{
-		"go.mod": "module tmpmod\n\ngo 1.24\n",
-		"a/a.go": "package a\n\nimport \"os\"\n\nfunc Clean(name string) {\n\tos.Remove(name)\n}\n",
-	}
-	for name, content := range files {
-		path := filepath.Join(root, filepath.FromSlash(name))
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	opts := lint.CheckOptions{Dir: root, CacheDir: filepath.Join(root, ".lintcache")}
-	render := func() []byte {
-		t.Helper()
-		findings, _, err := lint.Check(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := writeSARIF(&buf, root, lint.All(), findings); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	cold := render()
-	if !bytes.Contains(cold, []byte("errflow")) {
-		t.Fatalf("cold SARIF is missing the seeded finding:\n%s", cold)
-	}
-	warm := render()
-	if !bytes.Equal(cold, warm) {
-		t.Fatalf("cold and warm SARIF diverge:\n--- cold ---\n%s\n--- warm ---\n%s", cold, warm)
 	}
 }
 

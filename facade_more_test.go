@@ -1,10 +1,13 @@
 package locwatch_test
 
 import (
+	"errors"
+	"math"
 	"testing"
 	"time"
 
 	"locwatch"
+	"locwatch/internal/privlog"
 )
 
 // TestFacadeDefenses exercises every defense re-export.
@@ -44,6 +47,15 @@ func TestFacadeDefenses(t *testing.T) {
 	}
 	if _, err := locwatch.SuppressStream(nil, nil, 0); err == nil {
 		t.Fatal("bad suppress accepted")
+	}
+	if _, err := locwatch.SuppressStream(nil, nil, math.NaN()); err == nil {
+		t.Fatal("NaN suppression radius accepted")
+	}
+	if _, err := locwatch.CoarsenStream(nil, anchor, math.NaN()); err == nil {
+		t.Fatal("NaN coarsening cell accepted")
+	}
+	if _, err := locwatch.CoarsenStream(nil, anchor, math.Inf(1)); err == nil {
+		t.Fatal("infinite coarsening cell accepted")
 	}
 
 	d := locwatch.DecoyStream(locwatch.NewSliceSource(mk()), anchor)
@@ -129,5 +141,50 @@ func TestFacadeExperimentConfigs(t *testing.T) {
 	}
 	if lab.World().NumUsers() != 2 {
 		t.Fatal("lab world wrong size")
+	}
+}
+
+// TestFacadeErrorsLeakNoCoordinate searches the errors the facade's
+// constructors and profile builders return for bad input for the
+// positions that went in: callers log these errors, so none may carry
+// a raw coordinate.
+func TestFacadeErrorsLeakNoCoordinate(t *testing.T) {
+	pos := locwatch.LatLon{Lat: 39.912345678, Lon: 116.312345678}
+	other := locwatch.LatLon{Lat: 39.987654321, Lon: 116.387654321}
+	far := locwatch.LatLon{Lat: 91.123456789, Lon: 116.312345678}
+	empty := func(anchor locwatch.LatLon) *locwatch.Profile {
+		p, err := locwatch.BuildProfile(locwatch.NewSliceSource(nil), anchor, locwatch.Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	errs := map[string]error{}
+	_, errs["CoarsenStream"] = locwatch.CoarsenStream(nil, pos, -1)
+	_, errs["SuppressStream"] = locwatch.SuppressStream(nil, []locwatch.LatLon{pos, far}, math.NaN())
+	_, errs["RateLimitStream"] = locwatch.RateLimitStream(nil, 0)
+	_, errs["NewCanonicalizer"] = locwatch.NewCanonicalizer(pos, -1)
+	_, errs["NewProfileBuilder"] = locwatch.NewProfileBuilder(pos, locwatch.Params{Alpha: 2})
+	_, errs["BuildProfile"] = locwatch.BuildProfile(nil, pos, locwatch.Params{MergeRadius: -1})
+	_, errs["NewDetector"] = locwatch.NewDetector(nil, locwatch.PatternRegion)
+	_, errs["NewCombinedDetector"] = locwatch.NewCombinedDetector(nil)
+	_, errs["NewAdversary"] = locwatch.NewAdversary([]*locwatch.Profile{empty(pos), empty(other)})
+	_, errs["NewCloaker"] = locwatch.NewCloaker(pos, -1, 5, 10)
+	t0 := time.Date(2026, 3, 2, 8, 0, 0, 0, time.UTC)
+	rewound := []locwatch.Point{{Pos: pos, T: t0.Add(time.Minute)}, {Pos: other, T: t0}}
+	_, errs["BuildProfile of a rewound trace"] = locwatch.BuildProfile(locwatch.NewSliceSource(rewound), pos, locwatch.Params{})
+	if b, err := locwatch.NewProfileBuilder(pos, locwatch.Params{}); err != nil {
+		t.Fatal(err)
+	} else {
+		errs["ProfileBuilder.Feed of a rewound fix"] = errors.Join(b.Feed(rewound[0]), b.Feed(rewound[1]))
+	}
+	for name, err := range errs {
+		if err == nil {
+			t.Errorf("%s accepted bad input", name)
+			continue
+		}
+		for _, hit := range privlog.FindLeaks([]byte(err.Error()), []locwatch.LatLon{pos, other, far}) {
+			t.Errorf("%s error %q leaks a position: %s", name, err, hit)
+		}
 	}
 }

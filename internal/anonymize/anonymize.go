@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"time"
 
 	"locwatch/internal/geo"
@@ -265,72 +264,6 @@ func Align(sources []trace.Source, start, end time.Time, interval time.Duration)
 	return a, nil
 }
 
-// CloakedSource releases, for one user, the center of their cloaked
-// region at every grid tick where the k constraint is satisfiable —
-// what an LBS behind a cloaking server would see.
-type CloakedSource struct {
-	aligned *AlignedPositions
-	cloaker *Cloaker
-	who     int
-	tick    int
-
-	// Suppressed counts ticks where even the root cell failed k.
-	Suppressed int
-	// AreaSum accumulates released cell areas (m²) for utility metrics.
-	AreaSum float64
-	// Released counts releases.
-	Released int
-}
-
-// NewCloakedSource returns the cloaked release stream of user who.
-func NewCloakedSource(a *AlignedPositions, c *Cloaker, who int) (*CloakedSource, error) {
-	if who < 0 || who >= len(a.Pos) {
-		return nil, fmt.Errorf("anonymize: no user %d", who)
-	}
-	return &CloakedSource{aligned: a, cloaker: c, who: who}, nil
-}
-
-var _ trace.Source = (*CloakedSource)(nil)
-
-// Next implements trace.Source.
-func (s *CloakedSource) Next() (trace.Point, error) {
-	for ; s.tick < s.aligned.Ticks(); s.tick++ {
-		if !s.aligned.Known[s.who][s.tick] {
-			continue
-		}
-		positions, users := s.aligned.Snapshot(s.tick)
-		self := -1
-		for i, u := range users {
-			if u == s.who {
-				self = i
-				break
-			}
-		}
-		if self < 0 {
-			continue
-		}
-		box, ok := s.cloaker.Cloak(positions, self)
-		if !ok {
-			s.Suppressed++
-			continue
-		}
-		t := s.aligned.Start.Add(time.Duration(s.tick) * s.aligned.Interval)
-		s.tick++
-		s.Released++
-		s.AreaSum += box.Area()
-		return trace.Point{Pos: box.Center(), T: t}, nil
-	}
-	return trace.Point{}, io.EOF
-}
-
-// MeanAreaKm2 returns the mean released-cell area in km².
-func (s *CloakedSource) MeanAreaKm2() float64 {
-	if s.Released == 0 {
-		return 0
-	}
-	return s.AreaSum / float64(s.Released) / 1e6
-}
-
 // AnonymitySetSize returns how many users share the released cell —
 // the realized anonymity of one release.
 func AnonymitySetSize(positions []geo.LatLon, box geo.BoundingBox) int {
@@ -341,37 +274,4 @@ func AnonymitySetSize(positions []geo.LatLon, box geo.BoundingBox) int {
 		}
 	}
 	return n
-}
-
-// MinCellForK estimates, for a population snapshot, the smallest cell
-// half-size at which a user at the densest point still finds k
-// neighbors — a capacity planning helper for picking the resolution
-// floor.
-func MinCellForK(positions []geo.LatLon, anchor geo.LatLon, k int) float64 {
-	if len(positions) < k || k < 1 {
-		return math.Inf(1)
-	}
-	proj := geo.NewProjection(anchor)
-	best := math.Inf(1)
-	for i := range positions {
-		// k-th nearest neighbor distance bounds the needed cell size.
-		var dists []float64
-		for j := range positions {
-			dists = append(dists, proj.PlanarDistance(positions[i], positions[j]))
-		}
-		// partial selection
-		for a := 0; a < k && a < len(dists); a++ {
-			min := a
-			for b := a + 1; b < len(dists); b++ {
-				if dists[b] < dists[min] {
-					min = b
-				}
-			}
-			dists[a], dists[min] = dists[min], dists[a]
-		}
-		if d := dists[k-1]; d < best {
-			best = d
-		}
-	}
-	return best
 }

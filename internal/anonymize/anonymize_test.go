@@ -1,8 +1,6 @@
 package anonymize
 
 import (
-	"errors"
-	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -207,91 +205,6 @@ func TestAlignHandlesLateStarters(t *testing.T) {
 	}
 	if pos, users := a.Snapshot(10); len(pos) != 1 || users[0] != 0 {
 		t.Fatalf("snapshot at tick 10: %v %v", pos, users)
-	}
-}
-
-func TestCloakedSourceEndToEnd(t *testing.T) {
-	srcs, end := gridSources(12)
-	a, err := Align(srcs, aStart, end, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewCloaker(anchor, 16000, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs, err := NewCloakedSource(a, c, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	var prev time.Time
-	for {
-		p, err := cs.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n > 0 && !p.T.After(prev) {
-			t.Fatal("cloaked stream not time ordered")
-		}
-		prev = p.T
-		n++
-	}
-	if n == 0 {
-		t.Fatal("cloaked stream empty")
-	}
-	if cs.Released != n {
-		t.Fatalf("released counter %d != %d", cs.Released, n)
-	}
-	if cs.MeanAreaKm2() <= 0 {
-		t.Fatal("no area accounting")
-	}
-	if _, err := NewCloakedSource(a, c, 99); err == nil {
-		t.Fatal("phantom user accepted")
-	}
-}
-
-func TestCloakedSourceSuppressesWhenAlone(t *testing.T) {
-	// One user alone in the world: every release is suppressed.
-	srcs, end := gridSources(1)
-	a, err := Align(srcs, aStart, end, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewCloaker(anchor, 16000, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs, err := NewCloakedSource(a, c, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cs.Next(); !errors.Is(err, io.EOF) {
-		t.Fatal("lone user got a release")
-	}
-	if cs.Suppressed == 0 {
-		t.Fatal("suppression not counted")
-	}
-}
-
-func TestMinCellForK(t *testing.T) {
-	positions := []geo.LatLon{
-		anchor,
-		geo.Destination(anchor, 90, 100),
-		geo.Destination(anchor, 90, 200),
-	}
-	d := MinCellForK(positions, anchor, 2)
-	if d < 99 || d > 101 {
-		t.Fatalf("MinCellForK(2) = %v, want ~100", d)
-	}
-	if !math.IsInf(MinCellForK(positions, anchor, 5), 1) {
-		t.Fatal("k beyond population should be +Inf")
-	}
-	if !math.IsInf(MinCellForK(nil, anchor, 0), 1) {
-		t.Fatal("k=0 should be +Inf")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"locwatch/internal/geo"
+	"locwatch/internal/privlog"
 	"locwatch/internal/stats"
 	"locwatch/internal/trace"
 )
@@ -26,20 +27,36 @@ func population(t testing.TB, n int) []*Profile {
 	return profiles
 }
 
+// TestNewAdversaryValidation also searches every error for the
+// anchors that went in: the commands log these errors, so none may
+// carry a raw coordinate.
 func TestNewAdversaryValidation(t *testing.T) {
-	if _, err := NewAdversary(nil); err == nil {
-		t.Fatal("empty adversary accepted")
+	var errs []error
+	reject := func(what string, profiles []*Profile) {
+		t.Helper()
+		_, err := NewAdversary(profiles)
+		if err == nil {
+			t.Fatalf("%s accepted", what)
+		}
+		errs = append(errs, err)
 	}
-	if _, err := NewAdversary([]*Profile{nil}); err == nil {
-		t.Fatal("nil profile accepted")
-	}
+	reject("empty adversary", nil)
+	reject("nil profile", []*Profile{nil})
 	a := mustProfile(t, nil)
-	b, err := BuildProfile(trace.NewSliceSource(nil), geo.LatLon{Lat: 1, Lon: 1}, Params{})
-	if err != nil {
-		t.Fatal(err)
+	inputs := []geo.LatLon{anchor}
+	for _, other := range []geo.LatLon{{Lat: 1, Lon: 1}, {Lat: 39.912345678, Lon: 116.312345678}} {
+		b, err := BuildProfile(trace.NewSliceSource(nil), other, Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reject("mismatched anchors", []*Profile{a, b})
+		reject("mismatched anchors", []*Profile{b, a})
+		inputs = append(inputs, other)
 	}
-	if _, err := NewAdversary([]*Profile{a, b}); err == nil {
-		t.Fatal("mismatched anchors accepted")
+	for _, err := range errs {
+		for _, hit := range privlog.FindLeaks([]byte(err.Error()), inputs) {
+			t.Errorf("error %q leaks an anchor: %s", err, hit)
+		}
 	}
 }
 

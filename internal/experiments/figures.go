@@ -39,11 +39,7 @@ type Figure2Result struct {
 	Rows []Figure2Row
 }
 
-// extractors feeds one replay to several extractors in order. Figure2
-// passes its Feed to trace.ForEach as a method value, not a closure:
-// privtaint resolves calls through a func(trace.Point) error value to
-// the declared functions whose address is taken, and with none it
-// reports cmd/tracegen's trace.Split error paths as leaking a fix.
+// extractors feeds one replay to several extractors in order.
 type extractors []*poi.Extractor
 
 // Feed feeds p to every extractor and stops at the first error.

@@ -1,14 +1,18 @@
 package experiments
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"runtime"
 	"testing"
 
+	"locwatch/internal/geo"
 	"locwatch/internal/obs"
+	"locwatch/internal/privlog"
 	"locwatch/internal/trace"
 )
 
@@ -142,6 +146,32 @@ func TestObsDeterminism(t *testing.T) {
 	}
 	if children == 0 {
 		t.Error("lab root span has no per-stage children")
+	}
+
+	// privacyeval prints the rendered figures to stdout, serves the
+	// registry on -metrics-addr and writes the span record with
+	// -trace-out; its stderr carries only timings. None of them may
+	// carry a venue position.
+	var venues []geo.LatLon
+	for _, v := range on.World().Venues() {
+		venues = append(venues, v.Pos)
+	}
+	for name, write := range map[string]func(io.Writer) error{
+		"/metrics":    reg.WriteProm,
+		"/debug/vars": reg.WriteJSON,
+		"-trace-out":  reg.Tracer().WriteJSON,
+		"stdout": func(w io.Writer) error {
+			_, err := io.WriteString(w, instrumentedOut)
+			return err
+		},
+	} {
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, hit := range privlog.FindLeaks(buf.Bytes(), venues) {
+			t.Errorf("%s leaks a venue position: %s", name, hit)
+		}
 	}
 }
 

@@ -36,13 +36,6 @@ type Pass struct {
 
 	// Report records a diagnostic.
 	Report func(Diagnostic)
-
-	// Program optionally carries a whole-program view (call graph and
-	// function summaries) shared across the packages of one run — the
-	// stdlib-shim analogue of Requires/ResultOf in x/tools. Analyzers
-	// that need it type-assert to the concrete program type provided by
-	// the driver and must degrade to a no-op when it is absent.
-	Program any
 }
 
 // Reportf records a diagnostic at pos with a formatted message.
@@ -52,18 +45,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Diagnostic is one finding.
 type Diagnostic struct {
-	Pos     token.Pos
-	Message string
-
-	// Related optionally carries the witness path of an
-	// interprocedural finding: the intermediate call sites the flow
-	// traverses on its way to the reported site. Drivers surface them
-	// as SARIF relatedLocations.
-	Related []RelatedPos
-}
-
-// RelatedPos is one secondary location of a diagnostic.
-type RelatedPos struct {
 	Pos     token.Pos
 	Message string
 }

@@ -34,10 +34,8 @@ type expectation struct {
 }
 
 // Run loads each fixture package below srcRoot (a GOPATH-style src
-// directory), builds one whole-program view over all of them together
-// (so interprocedural analyzers see cross-package call chains exactly
-// as the real driver does), and applies the analyzer per package,
-// comparing diagnostics against the fixtures' want comments.
+// directory) and applies the analyzer per package, comparing
+// diagnostics against the fixtures' want comments.
 func Run(t *testing.T, srcRoot string, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
 	ld := loader.New(loader.SrcDir(srcRoot))
@@ -50,9 +48,8 @@ func Run(t *testing.T, srcRoot string, a *analysis.Analyzer, pkgPaths ...string)
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	prog := lint.BuildProgram(pkgs, ld.Package)
 	for _, pkg := range pkgs {
-		findings, err := prog.RunPackage(pkg, a)
+		findings, err := lint.RunPackage(pkg, a)
 		if err != nil {
 			t.Errorf("%s: running on %s: %v", a.Name, pkg.Path, err)
 			continue

@@ -38,24 +38,6 @@ func TestNilFacade(t *testing.T) {
 	analysistest.Run(t, fixtures, lint.NilFacade, "nilfacade")
 }
 
-// TestNilFacadeHelpers runs the same fixture tree but asserts on the
-// dependency stub too: the helpers in nilfacade/core must themselves
-// stay silent (their nil returns are contracts, not bugs).
-func TestNilFacadeHelpers(t *testing.T) {
-	analysistest.Run(t, fixtures, lint.NilFacade, "nilfacade/core")
-}
-
 func TestErrFlow(t *testing.T) {
 	analysistest.Run(t, fixtures, lint.ErrFlow, "errflow")
-}
-
-// TestPrivTaint covers the location-taint tier: direct sinks,
-// cross-package flows (reported at the caller that supplies the
-// coordinate, with a witness path), sanitizer and derivation
-// negatives, field sensitivity, the function-value call edge, and
-// //lint:ignore placement — a directive suppresses at the reporting
-// site only, so a helper cannot shield its callers.
-func TestPrivTaint(t *testing.T) {
-	analysistest.Run(t, fixtures, lint.PrivTaint,
-		"privtaint/app", "privtaint/report", "privtaint/trace")
 }

@@ -1,15 +1,10 @@
 package lint
 
 import (
-	"encoding/json"
-	"fmt"
 	"path/filepath"
-	"runtime"
-	"sort"
 	"strings"
 
 	"locwatch/internal/lint/analysis"
-	"locwatch/internal/lint/cache"
 	"locwatch/internal/lint/loader"
 )
 
@@ -22,31 +17,19 @@ type CheckOptions struct {
 	Patterns []string
 	// Analyzers is the suite to run; nil means All().
 	Analyzers []*analysis.Analyzer
-	// CacheDir enables the findings cache when non-empty. Entries are
-	// keyed by content fingerprints, so the directory can be shared
-	// across branches and checkouts without any invalidation protocol.
-	CacheDir string
 }
 
-// toolchain salts the cache key: findings computed against one
-// standard library are never replayed under another.
-var toolchain = runtime.Version()
-
-// Check runs the suite over the packages matching the options. With a
-// CacheDir it first looks up the findings of an identical earlier run
-// — same toolchain, analyzer roster, root packages and source bytes of
-// every listed package — and replays them without loading anything;
-// hit reports whether it did. Finding paths are module-relative
-// (slash-separated), which keeps cached entries valid across checkout
-// locations and makes cold and warm output byte-identical.
-func Check(opts CheckOptions) (findings []Finding, hit bool, err error) {
+// Check runs the suite over the packages matching the options. Finding
+// paths are module-relative (slash-separated), so reports do not
+// depend on where the module is checked out.
+func Check(opts CheckOptions) ([]Finding, error) {
 	dir := opts.Dir
 	if dir == "" {
 		dir = "."
 	}
 	root, err := loader.ModuleRoot(dir)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	analyzers := opts.Analyzers
 	if analyzers == nil {
@@ -54,66 +37,24 @@ func Check(opts CheckOptions) (findings []Finding, hit bool, err error) {
 	}
 	mod, err := loader.GoListDeps(root, opts.Patterns...)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-
-	var store *cache.Dir
-	var key string
-	if opts.CacheDir != "" {
-		if store, err = cache.Open(opts.CacheDir); err != nil {
-			return nil, false, err
-		}
-		fp, err := cache.Fingerprint(mod.Packages)
-		if err != nil {
-			return nil, false, err
-		}
-		key = cache.Key(cache.FormatVersion, toolchain, rosterOf(analyzers), strings.Join(mod.Roots, "\n"), fp)
-		if cached, ok := getFindings(store, key); ok {
-			return cached, true, nil
-		}
-	}
-
-	ld, pkgs, err := mod.Load()
+	pkgs, err := mod.Load()
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	findings, err = BuildProgram(pkgs, ld.Package).Run(analyzers)
+	findings, err := Run(pkgs, analyzers)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	relativize(root, findings)
-	if store != nil {
-		if err := putFindings(store, key, findings); err != nil {
-			return nil, false, err
-		}
+	for i := range findings {
+		findings[i].File = relPath(root, findings[i].File)
 	}
-	return findings, false, nil
+	return findings, nil
 }
 
-// rosterOf identifies an analyzer set for cache keying: names sorted
-// and joined, so enabling, disabling or renaming any analyzer changes
-// the key.
-func rosterOf(analyzers []*analysis.Analyzer) string {
-	names := make([]string, len(analyzers))
-	for i, a := range analyzers {
-		names[i] = a.Name
-	}
-	sort.Strings(names)
-	return strings.Join(names, ",")
-}
-
-// relativize rewrites finding paths to be module-relative and
-// slash-separated. Paths outside the module (stdlib positions never
-// reach findings, but belt and braces) stay absolute.
-func relativize(root string, fs []Finding) {
-	for i := range fs {
-		fs[i].File = relPath(root, fs[i].File)
-		for j := range fs[i].Related {
-			fs[i].Related[j].File = relPath(root, fs[i].Related[j].File)
-		}
-	}
-}
-
+// relPath rewrites a finding path to be module-relative and
+// slash-separated. Paths outside the module stay absolute.
 func relPath(root, file string) string {
 	if root == "" || file == "" {
 		return file
@@ -123,33 +64,4 @@ func relPath(root, file string) string {
 		return file
 	}
 	return filepath.ToSlash(rel)
-}
-
-// cacheEntry is the serialized form of one run's findings.
-type cacheEntry struct {
-	Findings []Finding `json:"findings"`
-}
-
-func getFindings(store *cache.Dir, key string) ([]Finding, bool) {
-	data, ok := store.Get(key)
-	if !ok {
-		return nil, false
-	}
-	var e cacheEntry
-	if err := json.Unmarshal(data, &e); err != nil {
-		// A corrupt entry is a miss; the run overwrites it.
-		return nil, false
-	}
-	return e.Findings, true
-}
-
-func putFindings(store *cache.Dir, key string, fs []Finding) error {
-	if fs == nil {
-		fs = []Finding{}
-	}
-	data, err := json.Marshal(cacheEntry{Findings: fs})
-	if err != nil {
-		return fmt.Errorf("lint: encode cache entry: %w", err)
-	}
-	return store.Put(key, data)
 }

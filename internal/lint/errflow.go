@@ -16,7 +16,7 @@ import (
 // signals bad inputs through errors (core.ErrNoProfile,
 // stats.ErrDegenerate, loader failures); a dropped error turns a
 // corrupted Table III reproduction into silence instead of a failure.
-// Two bug shapes are reported:
+// Three bug shapes are reported:
 //
 //   - dropped: a call whose results include an error used as a bare
 //     expression statement (also behind `go` / `defer`), discarding
@@ -24,9 +24,13 @@ import (
 //   - dead assignment: an error written to a variable that is
 //     overwritten or abandoned before being read on every CFG path —
 //     the `err = f(); err = g(); check(err)` shadow-overwrite bug the
-//     compiler cannot catch.
+//     compiler cannot catch;
+//   - discarded constructor error: `x, _ := f(…)` where f returns a
+//     pointer and an error and x is read afterwards. A constructor
+//     returns nil exactly when it errs, so x is dereferenced on the
+//     one path its discarded error warned about.
 //
-// Deliberate discards stay silent: assigning to `_` is an explicit
+// Other deliberate discards stay silent: assigning to `_` is an explicit
 // statement of intent, and calls whose error cannot usefully be
 // handled are excluded errcheck-style (fmt.Print/Printf/Println to
 // stdout, fmt.Fprint* to os.Stderr, and writes to the infallible
@@ -36,7 +40,7 @@ import (
 var ErrFlow = &analysis.Analyzer{
 	Name: "errflow",
 	Doc: "flags error results that are dead on every path: dropped in expression " +
-		"statements or overwritten before any read",
+		"statements, overwritten before any read, or discarded beside a pointer result that is then used",
 	Run: runErrFlow,
 }
 
@@ -63,7 +67,60 @@ func runErrFlow(pass *analysis.Pass) error {
 			checkErrLiveness(pass, unit, body)
 		}
 	}
+	// Part 3: discarded constructor errors.
+	lastUse := make(map[types.Object]token.Pos)
+	for id, obj := range pass.TypesInfo.Uses {
+		if id.Pos() > lastUse[obj] {
+			lastUse[obj] = id.Pos()
+		}
+	}
+	analysis.Preorder(pass.Files, func(n ast.Node) {
+		if as, ok := n.(*ast.AssignStmt); ok {
+			checkDiscardedConstructorError(pass, as, lastUse)
+		}
+	})
 	return nil
+}
+
+// checkDiscardedConstructorError reports `x, _ := f(…)` (or `=`) when
+// f returns a pointer and an error, the error goes to the blank
+// identifier and x is read after the statement.
+func checkDiscardedConstructorError(pass *analysis.Pass, as *ast.AssignStmt, lastUse map[types.Object]token.Pos) {
+	if len(as.Rhs) != 1 || len(as.Lhs) < 2 {
+		return
+	}
+	call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
+	if !ok {
+		return
+	}
+	results, ok := pass.TypesInfo.TypeOf(call).(*types.Tuple)
+	if !ok || results.Len() != len(as.Lhs) {
+		return
+	}
+	var blank *ast.Ident
+	for i, lhs := range as.Lhs {
+		if id, ok := lhs.(*ast.Ident); ok && id.Name == "_" && isErrorType(results.At(i).Type()) {
+			blank = id
+		}
+	}
+	if blank == nil {
+		return
+	}
+	for i, lhs := range as.Lhs {
+		id, ok := lhs.(*ast.Ident)
+		if !ok || id.Name == "_" {
+			continue
+		}
+		if _, ok := results.At(i).Type().Underlying().(*types.Pointer); !ok {
+			continue
+		}
+		obj := pass.TypesInfo.ObjectOf(id)
+		if obj != nil && lastUse[obj] > as.End() {
+			pass.Reportf(blank.Pos(),
+				"error result of %s is discarded but %s is used: it may be nil exactly when the error is set; check the error first",
+				calleeLabel(pass.TypesInfo, call), id.Name)
+		}
+	}
 }
 
 // checkDroppedError reports a bare call discarding an error result.
@@ -413,4 +470,9 @@ func nodeErrEvents(info *types.Info, n ast.Node, isLocal func(*types.Var) bool, 
 		use(n)
 	}
 	return events
+}
+
+// isErrorType reports whether t is exactly the built-in error type.
+func isErrorType(t types.Type) bool {
+	return types.Identical(t, types.Universe.Lookup("error").Type())
 }

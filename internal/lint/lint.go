@@ -1,9 +1,9 @@
 // Package lint is locwatch's domain lint suite: custom analyzers that
 // machine-check the invariants the paper's risk numbers depend on
 // (coordinate ranges, typed durations, handled errors and enum members,
-// checked constructors, scrubbed location output).
-// Each analyzer keeps its place only by catching a seeded regression
-// that neither go vet nor the tests catch (TestSeededDefects). The
+// non-nil facade pointers). Each analyzer looks at one package at a
+// time and keeps its place only by catching a seeded regression that
+// neither go vet nor the tests catch (TestSeededDefects). The
 // analyzers are built on the x/tools-shaped mini framework in
 // internal/lint/analysis and driven by cmd/locwatchlint and the
 // `make check` gate.
@@ -26,10 +26,8 @@ import (
 )
 
 // All returns the full analyzer suite in stable order: the syntactic
-// tier (latlonbounds, durationseconds), the flow-sensitive tier
-// (errflow, exhaustenum, nilfacade) built on internal/lint/cfg, and
-// the interprocedural tier (privtaint, plus nilfacade's summary-driven
-// upgrade) built on internal/lint/callgraph and internal/lint/summary.
+// tier (latlonbounds, durationseconds) and the flow-sensitive tier
+// (errflow, exhaustenum, nilfacade) built on internal/lint/cfg.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		DurationSeconds,
@@ -37,7 +35,6 @@ func All() []*analysis.Analyzer {
 		ExhaustEnum,
 		LatLonBounds,
 		NilFacade,
-		PrivTaint,
 	}
 }
 
@@ -48,9 +45,6 @@ type Finding struct {
 	Line     int    `json:"line"`
 	Column   int    `json:"column"`
 	Message  string `json:"message"`
-	// Related carries secondary positions explaining the finding —
-	// privtaint uses it for the hops of a source→sink witness path.
-	Related []RelatedFinding `json:"related,omitempty"`
 	// Suppressed is "" for an active finding and "inSource" for one
 	// silenced by a //lint:ignore directive. Suppressed findings stay in
 	// reports (SARIF carries them as suppressions) but do not fail the
@@ -66,14 +60,6 @@ const SuppressedInSource = "inSource"
 
 // Active reports whether the finding should fail a lint run.
 func (f Finding) Active() bool { return f.Suppressed == "" }
-
-// RelatedFinding is one secondary position attached to a Finding.
-type RelatedFinding struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Column  int    `json:"column"`
-	Message string `json:"message"`
-}
 
 // String renders the finding in the conventional file:line:col form.
 func (f Finding) String() string {

@@ -88,14 +88,6 @@ func (l *Loader) Load(path string) (*Package, error) {
 	return p, nil
 }
 
-// Package returns the already-loaded package at the given import path,
-// or nil when no Load (direct or as a dependency of another Load) has
-// produced it. Whole-program passes use this to pull in the memoized
-// dependency closure without re-type-checking anything.
-func (l *Loader) Package(path string) *Package {
-	return l.pkgs[path]
-}
-
 func (l *Loader) typeCheck(path string) (*Package, error) {
 	dir, files, ok, err := l.resolve(path)
 	if err != nil {
@@ -244,27 +236,26 @@ func GoListDeps(dir string, patterns ...string) (*Module, error) {
 // Load type-checks the roots and their module-local dependencies,
 // reading the standard library from the export data one
 // `go list -export` run reports for the listing's standard packages.
-// It returns the loader, whose Package method serves the dependency
-// closure, and the root packages in Roots order.
-func (m *Module) Load() (*Loader, []*Package, error) {
+// It returns the root packages in Roots order.
+func (m *Module) Load() ([]*Package, error) {
 	ld := New(func(path string) (string, []string, bool, error) {
 		p, ok := m.Packages[path]
 		return p.Dir, p.GoFiles, ok, nil
 	})
 	if len(m.std) > 0 {
 		if err := ld.addExports(m.dir, m.std...); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	pkgs := make([]*Package, 0, len(m.Roots))
 	for _, r := range m.Roots {
 		p, err := ld.Load(r)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		pkgs = append(pkgs, p)
 	}
-	return ld, pkgs, nil
+	return pkgs, nil
 }
 
 // listedPackage is the subset of `go list -json` output the loader

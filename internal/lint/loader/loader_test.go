@@ -1,6 +1,7 @@
 package loader
 
 import (
+	"go/types"
 	"os"
 	"path/filepath"
 	"strings"
@@ -32,13 +33,18 @@ func TestLoadFixturePackage(t *testing.T) {
 	if again != pkg {
 		t.Fatal("second Load returned a different package instance")
 	}
-	// The geo dependency was loaded transitively and is memoized too.
-	if ld.Package("geo") == nil {
-		t.Fatal("geo was not loaded as a dependency")
-	}
+	// The geo dependency was loaded transitively and is memoized too:
+	// loading it returns the package latlonbounds was checked against.
 	dep, err := ld.Load("geo")
 	if err != nil {
 		t.Fatal(err)
+	}
+	var imported bool
+	for _, imp := range pkg.Types.Imports() {
+		imported = imported || imp == dep.Types
+	}
+	if !imported {
+		t.Fatal("geo was not loaded as a memoized dependency")
 	}
 	if dep.Types.Scope().Lookup("LatLon") == nil {
 		t.Fatal("geo stub lost its LatLon type")
@@ -94,8 +100,8 @@ func TestGoListDeps(t *testing.T) {
 	if !ok || len(lintMeta.GoFiles) == 0 {
 		t.Fatalf("internal/lint metadata = %+v, want its Go files", lintMeta)
 	}
-	if _, ok := mod.Packages["locwatch/internal/lint/summary"]; !ok {
-		t.Fatal("dependency internal/lint/summary missing from Packages")
+	if _, ok := mod.Packages["locwatch/internal/lint/cfg"]; !ok {
+		t.Fatal("dependency internal/lint/cfg missing from Packages")
 	}
 	if _, ok := mod.Packages["go/types"]; ok {
 		t.Fatal("standard package go/types listed among module packages")
@@ -110,23 +116,28 @@ func TestModuleLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mod, err := GoListDeps(root, "./internal/lint/cache", "./internal/lint/analysis")
+	mod, err := GoListDeps(root, "./internal/lint/analysistest", "./internal/lint/analysis")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ld, pkgs, err := mod.Load()
+	pkgs, err := mod.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pkgs) != 2 || pkgs[0].Path != mod.Roots[0] || pkgs[1].Path != mod.Roots[1] {
 		t.Fatalf("Load returned %d packages, want the roots %v in order", len(pkgs), mod.Roots)
 	}
-	dep := ld.Package("locwatch/internal/lint/loader")
+	var dep *types.Package
+	for _, imp := range pkgs[1].Types.Imports() {
+		if imp.Path() == "locwatch/internal/lint/loader" {
+			dep = imp
+		}
+	}
 	if dep == nil {
 		t.Fatal("dependency internal/lint/loader missing after Load")
 	}
 	var stdTypes bool
-	for _, imp := range dep.Types.Imports() {
+	for _, imp := range dep.Imports() {
 		stdTypes = stdTypes || imp.Path() == "go/types" && imp.Scope().Lookup("Config") != nil
 	}
 	if !stdTypes {

@@ -7,10 +7,9 @@ import (
 
 	"locwatch/internal/lint/analysis"
 	"locwatch/internal/lint/cfg"
-	"locwatch/internal/lint/summary"
 )
 
-// NilFacade is an interprocedural nilness analyzer over the public
+// NilFacade is an intraprocedural nilness analyzer over the public
 // facade's pointer types: *Config, *Profile, *ProfileBuilder,
 // *Detector, *CombinedDetector and *Adversary. A nil *Profile reaching
 // Profile.Compare corrupts the Deg_anonymity numbers with a panic deep
@@ -21,27 +20,18 @@ import (
 //
 //   - declared `var p *Profile` and used before assignment on some path;
 //   - assigned the nil literal and dereferenced before a guard;
-//   - returned by a helper whose function summary
-//     (internal/lint/summary) says some path returns nil — including
-//     helpers in other packages, through arbitrarily deep call chains;
-//   - dereferenced inside the nil arm of its own `p == nil` guard, or
-//     inside the error arm of a constructor that returns nil exactly
-//     when it errors.
+//   - dereferenced inside the nil arm of its own `p == nil` guard (an
+//     inverted guard).
 //
-// Constructors advertising the "nil only alongside a non-nil error"
-// contract (summary.Facts.NilOnlyWithError) correlate their pointer
-// result with their error result: checking `err != nil` clears the
-// pointer on the success edge, so the idiomatic guard stays silent
-// while a dereference in the error arm — or with the error discarded —
-// is flagged. Comparisons against nil refine facts along both branch
-// edges as before. Tracking is by type *name*, so the analyzer covers
-// the real facade packages and the analysistest stubs alike; without a
-// whole-program view (Pass.Program unset) helper calls degrade to the
-// optimistic assumption of non-nil.
+// Comparisons against nil refine facts along both branch edges. Calls
+// are assumed to return non-nil pointers; the one call shape that
+// hands back nil, a constructor whose error was discarded, is
+// errflow's. Tracking is by type *name*, so the analyzer covers the
+// real facade packages and the analysistest stubs alike.
 var NilFacade = &analysis.Analyzer{
 	Name: "nilfacade",
 	Doc: "flags dereferences of facade pointers (*Config, *Profile, *Detector, *Adversary, …) " +
-		"reachable on a path where the value may be nil, tracking nil returns through helpers",
+		"reachable on a path where the value may be nil",
 	Run: runNilFacade,
 }
 
@@ -123,127 +113,40 @@ func trackedVar(info *types.Info, id *ast.Ident, unit ast.Node, nested []*ast.Fu
 	return v
 }
 
-// nilState is the dataflow state: may-nil facts for tracked variables
-// (absence means untracked — nothing is reported about the variable)
-// plus the error-correlation relation for constructor results.
-type nilState struct {
-	facts map[*types.Var]nilFact
-	// corr maps a local error variable to the facade variables whose
-	// nilness it witnesses: per the constructor's NilOnlyWithError
-	// contract, err == nil implies every correlated pointer is
-	// non-nil. Entries die when either variable is reassigned.
-	corr map[*types.Var]map[*types.Var]bool
-}
-
-// Both maps are always non-nil: nilState travels by value through the
-// transfer functions, so mutations must go through the shared maps —
-// lazily allocating corr inside a transfer would only update the copy.
-func newNilState() nilState {
-	return nilState{
-		facts: make(map[*types.Var]nilFact),
-		corr:  make(map[*types.Var]map[*types.Var]bool),
-	}
-}
+// nilState is the dataflow state: may-nil facts for tracked
+// variables. Absence means untracked: nothing is reported about the
+// variable.
+type nilState map[*types.Var]nilFact
 
 func (s nilState) clone() nilState {
-	out := newNilState()
-	for k, v := range s.facts {
-		out.facts[k] = v
-	}
-	for e, set := range s.corr {
-		cp := make(map[*types.Var]bool, len(set))
-		for v := range set {
-			cp[v] = true
-		}
-		out.corr[e] = cp
+	out := make(nilState, len(s))
+	for k, v := range s {
+		out[k] = v
 	}
 	return out
 }
 
 // join merges facts from two predecessors: bits union; a variable
 // tracked on only one edge keeps that edge's facts (the other edge
-// predates the variable's scope). Correlations merge by intersection —
-// a contract both edges agree on — because keeping a one-sided
-// correlation would let an err check clear a pointer the other path
-// never tied to it.
+// predates the variable's scope).
 func (s nilState) join(other nilState) nilState {
 	out := s.clone()
-	for k, v := range other.facts {
-		out.facts[k] |= v
+	for k, v := range other {
+		out[k] |= v
 	}
-	merged := make(map[*types.Var]map[*types.Var]bool)
-	for e, set := range s.corr {
-		oset, ok := other.corr[e]
-		if !ok {
-			continue
-		}
-		both := make(map[*types.Var]bool)
-		for v := range set {
-			if oset[v] {
-				both[v] = true
-			}
-		}
-		if len(both) > 0 {
-			merged[e] = both
-		}
-	}
-	out.corr = merged
 	return out
 }
 
 func (s nilState) equal(other nilState) bool {
-	if len(s.facts) != len(other.facts) || len(s.corr) != len(other.corr) {
+	if len(s) != len(other) {
 		return false
 	}
-	for k, v := range s.facts {
-		if other.facts[k] != v {
+	for k, v := range s {
+		if other[k] != v {
 			return false
-		}
-	}
-	for e, set := range s.corr {
-		oset, ok := other.corr[e]
-		if !ok || len(oset) != len(set) {
-			return false
-		}
-		for v := range set {
-			if !oset[v] {
-				return false
-			}
 		}
 	}
 	return true
-}
-
-// reassign records that v received a new value: any correlation it
-// participated in — as the error witness or as the witnessed pointer —
-// no longer holds.
-func (s *nilState) reassign(v *types.Var) {
-	if v == nil || s.corr == nil {
-		return
-	}
-	delete(s.corr, v)
-	for e, set := range s.corr {
-		delete(set, v)
-		if len(set) == 0 {
-			delete(s.corr, e)
-		}
-	}
-}
-
-// correlate records err ⇒ the given facade vars under the constructor
-// contract.
-func (s *nilState) correlate(err *types.Var, facades []*types.Var) {
-	if err == nil || len(facades) == 0 {
-		return
-	}
-	if s.corr == nil {
-		s.corr = make(map[*types.Var]map[*types.Var]bool)
-	}
-	set := make(map[*types.Var]bool, len(facades))
-	for _, v := range facades {
-		set[v] = true
-	}
-	s.corr[err] = set
 }
 
 // checkNilFlow runs the forward may-nil dataflow over one function
@@ -260,17 +163,13 @@ func checkNilFlow(pass *analysis.Pass, unit ast.Node, body *ast.BlockStmt) {
 	})
 
 	fl := &nilFlow{pass: pass, unit: unit, nested: nested, reported: map[token.Pos]bool{}}
-	if prog := program(pass); prog != nil {
-		fl.sums = prog.Sums
-	}
 
 	in := make(map[*cfg.Block]nilState)
 	entry := graph.Blocks[0]
-	in[entry] = newNilState()
+	in[entry] = nilState{}
 
 	// Forward fixpoint. The lattice is finite (2 bits per tracked
-	// variable, correlations only shrink after creation), so this
-	// terminates.
+	// variable), so this terminates.
 	work := []*cfg.Block{entry}
 	for len(work) > 0 {
 		blk := work[len(work)-1]
@@ -316,7 +215,6 @@ func checkNilFlow(pass *analysis.Pass, unit ast.Node, body *ast.BlockStmt) {
 // nilFlow carries the per-unit context through block transfers.
 type nilFlow struct {
 	pass     *analysis.Pass
-	sums     *summary.Set // nil when the driver supplied no program
 	unit     ast.Node
 	nested   []*ast.FuncLit
 	report   bool
@@ -346,9 +244,8 @@ func (fl *nilFlow) transferNode(n ast.Node, state nilState) {
 		fl.scanDerefs(n.X, state)
 		for _, lhs := range []ast.Expr{n.Key, n.Value} {
 			if id, ok := lhs.(*ast.Ident); ok && id.Name != "_" {
-				state.reassign(fl.anyVar(id))
 				if v := fl.tracked(id); v != nil {
-					state.facts[v] = mayNonNil
+					state[v] = mayNonNil
 				}
 			}
 		}
@@ -366,26 +263,6 @@ func (fl *nilFlow) transferNode(n ast.Node, state nilState) {
 // tracked resolves an identifier to its tracked facade variable.
 func (fl *nilFlow) tracked(id *ast.Ident) *types.Var {
 	return trackedVar(fl.pass.TypesInfo, id, fl.unit, fl.nested)
-}
-
-// anyVar resolves an identifier to whatever variable it names (used
-// for correlation bookkeeping on error variables).
-func (fl *nilFlow) anyVar(id *ast.Ident) *types.Var {
-	obj := fl.pass.TypesInfo.Uses[id]
-	if obj == nil {
-		obj = fl.pass.TypesInfo.Defs[id]
-	}
-	v, _ := obj.(*types.Var)
-	return v
-}
-
-// calleeFacts returns the function summary of a call's static callee,
-// or nil without a program / for dynamic and external callees.
-func (fl *nilFlow) calleeFacts(call *ast.CallExpr) *summary.Facts {
-	if fl.sums == nil {
-		return nil
-	}
-	return fl.sums.Of(analysis.CalleeFunc(fl.pass.TypesInfo, call))
 }
 
 // scanDerefs reports dereferences of possibly-nil variables inside n,
@@ -413,8 +290,7 @@ func (fl *nilFlow) scanDerefs(n ast.Node, state nilState) {
 			if m.Op == token.AND {
 				if id, ok := ast.Unparen(m.X).(*ast.Ident); ok {
 					if v := fl.tracked(id); v != nil {
-						delete(state.facts, v)
-						state.reassign(v)
+						delete(state, v)
 					}
 				}
 			}
@@ -436,7 +312,7 @@ func (fl *nilFlow) checkDeref(x ast.Expr, state nilState, what string) {
 	if v == nil {
 		return
 	}
-	if f, ok := state.facts[v]; ok && f&mayNil != 0 {
+	if f, ok := state[v]; ok && f&mayNil != 0 {
 		if fl.report && !fl.reported[id.Pos()] {
 			fl.reported[id.Pos()] = true
 			fl.pass.Reportf(id.Pos(),
@@ -450,48 +326,20 @@ func (fl *nilFlow) applyAssign(n *ast.AssignStmt, state nilState) {
 	if n.Tok != token.ASSIGN && n.Tok != token.DEFINE {
 		return
 	}
-	// Tuple from one call: v, err := NewDetector(…). The callee's
-	// function summary decides whether the pointer may be nil; when
-	// the summary also promises "nil only alongside a non-nil error",
-	// the pointer and the error variable are correlated so a
-	// subsequent err check refines the pointer.
-	if len(n.Lhs) > 1 && len(n.Rhs) == 1 {
-		if call, ok := ast.Unparen(n.Rhs[0]).(*ast.CallExpr); ok {
-			cf := fl.calleeFacts(call)
-			var errVar *types.Var
-			var correlated []*types.Var
-			for i, lhs := range n.Lhs {
-				id, ok := ast.Unparen(lhs).(*ast.Ident)
-				if !ok || id.Name == "_" {
-					continue
-				}
-				av := fl.anyVar(id)
-				state.reassign(av)
-				if v := fl.tracked(id); v != nil {
-					if cf != nil && i < len(cf.ResultMayNil) && cf.ResultMayNil[i] {
-						state.facts[v] = mayNil | mayNonNil
-						if cf.NilOnlyWithError {
-							correlated = append(correlated, v)
-						}
-					} else {
-						state.facts[v] = mayNonNil
-					}
-				} else if av != nil && i == len(n.Lhs)-1 && isErrorType(av.Type()) {
-					errVar = av
-				}
-			}
-			state.correlate(errVar, correlated)
-			return
-		}
-	}
 	if len(n.Lhs) != len(n.Rhs) {
-		// v, ok := m[k] / x.(*T) / <-ch: the pointer's provenance is a
-		// container or channel the analysis cannot see into — untrack.
+		// v, err := New(…) is assumed non-nil (errflow owns the
+		// discarded-error case); v, ok := m[k] / x.(*T) / <-ch read a
+		// container or channel the analysis cannot see into, so the
+		// pointer is untracked.
+		_, call := ast.Unparen(n.Rhs[0]).(*ast.CallExpr)
 		for _, lhs := range n.Lhs {
 			if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && id.Name != "_" {
-				state.reassign(fl.anyVar(id))
 				if v := fl.tracked(id); v != nil {
-					delete(state.facts, v)
+					if call {
+						state[v] = mayNonNil
+					} else {
+						delete(state, v)
+					}
 				}
 			}
 		}
@@ -502,38 +350,24 @@ func (fl *nilFlow) applyAssign(n *ast.AssignStmt, state nilState) {
 		if !ok || id.Name == "_" {
 			continue
 		}
-		state.reassign(fl.anyVar(id))
-		v := fl.tracked(id)
-		if v == nil {
-			continue
+		if v := fl.tracked(id); v != nil {
+			state[v] = fl.rhsFact(n.Rhs[i], state)
 		}
-		state.facts[v] = fl.rhsFact(n.Rhs[i], state)
 	}
 }
 
-// rhsFact evaluates the nilness of a single-value right-hand side. A
-// call consults the callee's function summary: a helper some path of
-// which returns nil taints the variable, everything else — external
-// calls included — is optimistically non-nil.
+// rhsFact evaluates the nilness of a single-value right-hand side:
+// the nil literal is nil, a tracked variable carries its facts, and
+// everything else, calls included, is optimistically non-nil.
 func (fl *nilFlow) rhsFact(rhs ast.Expr, state nilState) nilFact {
-	switch e := ast.Unparen(rhs).(type) {
-	case *ast.Ident:
+	if e, ok := ast.Unparen(rhs).(*ast.Ident); ok {
 		if e.Name == "nil" {
 			return mayNil
 		}
 		if v := fl.tracked(e); v != nil {
-			if f, ok := state.facts[v]; ok {
+			if f, ok := state[v]; ok {
 				return f
 			}
-		}
-		return mayNonNil
-	case *ast.UnaryExpr:
-		if e.Op == token.AND {
-			return mayNonNil // &T{…}
-		}
-	case *ast.CallExpr:
-		if cf := fl.calleeFacts(e); cf != nil && len(cf.ResultMayNil) == 1 && cf.ResultMayNil[0] {
-			return mayNil | mayNonNil
 		}
 	}
 	return mayNonNil
@@ -558,11 +392,11 @@ func (fl *nilFlow) applyDecl(n *ast.DeclStmt, state nilState) {
 			}
 			switch {
 			case len(vs.Values) == 0:
-				state.facts[v] = mayNil // zero value
+				state[v] = mayNil // zero value
 			case len(vs.Values) == len(vs.Names):
-				state.facts[v] = fl.rhsFact(vs.Values[i], state)
+				state[v] = fl.rhsFact(vs.Values[i], state)
 			default:
-				state.facts[v] = mayNonNil
+				state[v] = mayNonNil
 			}
 		}
 	}
@@ -571,11 +405,9 @@ func (fl *nilFlow) applyDecl(n *ast.DeclStmt, state nilState) {
 // refine splits the state along the branch edges of a condition:
 // `p == nil` / `p != nil` comparisons introduce or sharpen facts
 // (tracking starts at the first comparison even for parameters — a
-// compared pointer is one the author considers nilable), `err == nil`
-// checks on a correlated constructor error clear the correlated
-// pointers on the success edge, `!c` swaps the arms, and `a && b` /
-// `a || b` compose refinements along the short-circuit edge that
-// actually constrains them.
+// compared pointer is one the author considers nilable), `!c` swaps
+// the arms, and `a && b` / `a || b` compose refinements along the
+// short-circuit edge that actually constrains them.
 func (fl *nilFlow) refine(cond ast.Expr, state nilState) (trueState, falseState nilState) {
 	trueState, falseState = state, state
 	switch e := ast.Unparen(cond).(type) {
@@ -610,26 +442,12 @@ func (fl *nilFlow) refine(cond ast.Expr, state nilState) (trueState, falseState 
 			}
 			if v := fl.tracked(id); v != nil {
 				nilSide, nonNilSide := state.clone(), state.clone()
-				nilSide.facts[v] = mayNil
-				nonNilSide.facts[v] = mayNonNil
+				nilSide[v] = mayNil
+				nonNilSide[v] = mayNonNil
 				if e.Op == token.EQL {
 					return nilSide, nonNilSide
 				}
 				return nonNilSide, nilSide
-			}
-			// err == nil on a correlated constructor error: the
-			// contract makes every correlated pointer non-nil on the
-			// err-nil edge; the err-non-nil edge keeps its may-nil
-			// facts, which is exactly where a dereference is unsafe.
-			if ev := fl.anyVar(id); ev != nil && state.corr[ev] != nil {
-				errNilSide := state.clone()
-				for v := range state.corr[ev] {
-					errNilSide.facts[v] = mayNonNil
-				}
-				if e.Op == token.EQL {
-					return errNilSide, state
-				}
-				return state, errNilSide
 			}
 		}
 	}
@@ -639,9 +457,4 @@ func (fl *nilFlow) refine(cond ast.Expr, state nilState) (trueState, falseState 
 func isNilExpr(e ast.Expr) bool {
 	id, ok := e.(*ast.Ident)
 	return ok && id.Name == "nil"
-}
-
-// isErrorType reports whether t is exactly the built-in error type.
-func isErrorType(t types.Type) bool {
-	return types.Identical(t, types.Universe.Lookup("error").Type())
 }

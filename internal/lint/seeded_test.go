@@ -14,14 +14,19 @@ import (
 )
 
 // seededDefect is one regression seeded into a real file of this
-// module: a one-hunk patch that some input or schedule turns into
-// wrong output, a panic, a data race, a deadlock, a leaked goroutine
-// or precise location leaving the process.
+// module: a patch, one hunk where the language allows, that some
+// input or schedule turns into wrong output, a panic, a data race, a
+// deadlock, a leaked goroutine or precise location leaving the
+// process.
 type seededDefect struct {
 	// file is the module-relative path of the patched file.
 	file string
 	// old must occur exactly once in file; new replaces it.
 	old, new string
+	// more holds further old/new pairs applied to the same file, for a
+	// defect that also needs an import or a struct field. Each old
+	// must occur exactly once too.
+	more [][2]string
 	// pkgs are the packages linted on the patched tree. They include
 	// every caller package a finding is reported in.
 	pkgs []string
@@ -98,21 +103,78 @@ var seededDefects = []seededDefect{
 		want: []string{"errflow"},
 	},
 
-	// privtaint: precise location leaving the process, once through an
-	// error the commands log and once through an HTTP response.
+	// Precise location leaving the process: through an error the
+	// commands log, an HTTP response, a log line, a served snapshot and
+	// a span attribute privacyeval writes with -trace-out. The exit
+	// tests catch each one by searching what the exit emits for the
+	// positions that went in (privlog.FindLeaks).
 	{
-		file: "internal/core/adversary.go",
-		old:  "i, privlog.ScrubLatLon(p.Anchor()), privlog.ScrubLatLon(profiles[0].Anchor()))",
-		new:  "i, p.Anchor(), privlog.ScrubLatLon(profiles[0].Anchor()))",
-		pkgs: []string{"./cmd/locwatchd", "./cmd/privacyeval"},
-		want: []string{"privtaint"},
+		file:     "internal/core/adversary.go",
+		old:      "i, privlog.ScrubLatLon(p.Anchor()), privlog.ScrubLatLon(profiles[0].Anchor()))",
+		new:      "i, p.Anchor(), privlog.ScrubLatLon(profiles[0].Anchor()))",
+		pkgs:     []string{"./internal/core"},
+		caughtBy: "TestNewAdversaryValidation",
+	},
+	{
+		file:     "internal/stream/http.go",
+		old:      `errorBody{Error: fmt.Sprintf("fix %d: coordinates out of range", i)})`,
+		new:      `errorBody{Error: fmt.Sprintf("fix %d: coordinates %v out of range", i, p)})`,
+		pkgs:     []string{"./internal/stream"},
+		caughtBy: "TestHTTPExitsLeakNoFix",
 	},
 	{
 		file: "internal/stream/http.go",
-		old:  `errorBody{Error: fmt.Sprintf("fix %d: coordinates out of range", i)})`,
-		new:  `errorBody{Error: fmt.Sprintf("fix %d: coordinates %v out of range", i, p)})`,
-		pkgs: []string{"./internal/stream"},
-		want: []string{"privtaint"},
+		old:  "	writeJSON(w, http.StatusAccepted, IngestResponse{Accepted: len(pts)})",
+		new: `	var last geo.LatLon
+	if len(pts) > 0 {
+		last = pts[len(pts)-1].Pos
+	}
+	writeJSON(w, http.StatusAccepted, struct {
+		IngestResponse
+		Last geo.LatLon
+	}{IngestResponse{Accepted: len(pts)}, last})`,
+		pkgs:     []string{"./internal/stream"},
+		caughtBy: "TestHTTPExitsLeakNoFix",
+	},
+	{
+		file: "internal/stream/http.go",
+		old: `		if !p.Valid() {
+			writeJSON(w, http.StatusBadRequest,`,
+		new: `		if !p.Valid() {
+			log.Printf("ingest user %s: fix %d out of range: %v", userID, i, p)
+			writeJSON(w, http.StatusBadRequest,`,
+		more: [][2]string{{`	"io"
+`, `	"io"
+	"log"
+`}},
+		pkgs:     []string{"./internal/stream"},
+		caughtBy: "TestHTTPExitsLeakNoFix",
+	},
+	{
+		file: "internal/stream/risk.go",
+		old: `		DegAnonymity: 1, // no adversary: nothing learned
+	}
+`,
+		new: `		DegAnonymity: 1, // no adversary: nothing learned
+	}
+	if places := prof.Places(); len(places) > 0 {
+		risk.Top = places[0].Pos.String()
+	}
+`,
+		more: [][2]string{{"	Finalized bool `json:\"finalized\"`\n",
+			"	Finalized bool `json:\"finalized\"`\n	// Top is the user's first place.\n	Top string `json:\"top,omitempty\"`\n"}},
+		pkgs:     []string{"./internal/stream"},
+		caughtBy: "TestHTTPExitsLeakNoFix",
+	},
+	{
+		file: "internal/experiments/lab.go",
+		old:  "		sp := l.root.Child(windowSpans[w])",
+		new: `		sp := l.root.Child(windowSpans[w])
+		if u, err := l.world.User(0); err == nil {
+			sp.SetAttr("home", u.Home.Pos.String())
+		}`,
+		pkgs:     []string{"./internal/experiments"},
+		caughtBy: "TestObsDeterminism",
 	},
 
 	// exhaustenum: a provider the permission switch does not handle.
@@ -145,7 +207,7 @@ var providerNames = [...]string{"gps", "network", "passive", "fused", "wifi"}`,
 		caughtBy: "TestSpecPermissionPredicates",
 	},
 
-	// nilfacade: a discarded constructor error leaves a nil facade
+	// errflow: a discarded constructor error leaves a nil facade
 	// pointer to dereference.
 	{
 		file: "internal/experiments/detect.go",
@@ -157,7 +219,7 @@ var providerNames = [...]string{"gps", "network", "passive", "fused", "wifi"}`,
 		new: `			cd, _ := core.NewCombinedDetector(profiles[id])
 `,
 		pkgs: []string{"./internal/experiments"},
-		want: []string{"nilfacade"},
+		want: []string{"errflow"},
 	},
 	{
 		file: "internal/experiments/adversary.go",
@@ -169,6 +231,16 @@ var providerNames = [...]string{"gps", "network", "passive", "fused", "wifi"}`,
 		new: `	adv, _ := core.NewAdversary(hist)
 `,
 		pkgs: []string{"./internal/experiments"},
+		want: []string{"errflow"},
+	},
+
+	// nilfacade: a guard inverted, so the reference profile is used
+	// exactly when it is nil.
+	{
+		file: "internal/stream/risk.go",
+		old:  "	if ref := refs.byUser[userID]; ref != nil {",
+		new:  "	if ref := refs.byUser[userID]; ref == nil {",
+		pkgs: []string{"./internal/stream"},
 		want: []string{"nilfacade"},
 	},
 
@@ -523,13 +595,17 @@ func TestSeededDefects(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s is not a non-test source file of the module", d.file)
 			}
-			if n := bytes.Count(src, []byte(d.old)); n != 1 {
-				t.Fatalf("old hunk occurs %d times in %s, want exactly 1", n, d.file)
+			hunks := append([][2]string{{d.old, d.new}}, d.more...)
+			for _, h := range hunks {
+				if n := bytes.Count(src, []byte(h[0])); n != 1 {
+					t.Fatalf("old hunk %q occurs %d times in %s, want exactly 1", h[0], n, d.file)
+				}
+				src = bytes.Replace(src, []byte(h[0]), []byte(h[1]), 1)
 			}
 			dir := t.TempDir()
 			for rel, data := range sources {
 				if rel == d.file {
-					data = bytes.Replace(data, []byte(d.old), []byte(d.new), 1)
+					data = src
 				}
 				path := filepath.Join(dir, filepath.FromSlash(rel))
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -543,11 +619,11 @@ func TestSeededDefects(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ld, pkgs, err := mod.Load()
+			pkgs, err := mod.Load()
 			if err != nil {
 				t.Fatal(err)
 			}
-			findings, err := lint.BuildProgram(pkgs, ld.Package).Run(lint.All())
+			findings, err := lint.Run(pkgs, lint.All())
 			if err != nil {
 				t.Fatal(err)
 			}

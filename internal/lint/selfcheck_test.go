@@ -9,15 +9,13 @@ import (
 	"locwatch/internal/lint/loader"
 )
 
-// TestRegistryComplete pins the 6-analyzer suite: the interprocedural
-// tier (privtaint, the summary-driven nilfacade) must be registered
-// alongside the syntactic and flow-sensitive tiers, so
-// `locwatchlint ./...` and TestSuiteCleanOnRepo actually gate on them.
-// TestSeededDefects decides who belongs on the list.
+// TestRegistryComplete pins the 5-analyzer suite, so
+// `locwatchlint ./...` and TestSuiteCleanOnRepo actually gate on each
+// of them. TestSeededDefects decides who belongs on the list.
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"durationseconds", "errflow", "exhaustenum",
-		"latlonbounds", "nilfacade", "privtaint",
+		"latlonbounds", "nilfacade",
 	}
 	all := lint.All()
 	if len(all) != len(want) {
@@ -55,11 +53,11 @@ func TestSuiteCleanOnRepo(t *testing.T) {
 	if len(mod.Roots) < 10 {
 		t.Fatalf("go list ./... resolved only %d packages: %v", len(mod.Roots), mod.Roots)
 	}
-	ld, pkgs, err := mod.Load()
+	pkgs, err := mod.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := lint.BuildProgram(pkgs, ld.Package).Run(lint.All())
+	findings, err := lint.Run(pkgs, lint.All())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,3 +101,56 @@ func capturedByClosure() func() error {
 	err := work()
 	return func() error { return err }
 }
+
+type detector struct{ fed int }
+
+func (d *detector) feed() { d.fed++ }
+
+func newDetector(ok bool) (*detector, error) {
+	if !ok {
+		return nil, errors.New("no reference")
+	}
+	return &detector{}, nil
+}
+
+func lookup() (detector, error) { return detector{}, nil }
+
+// discardedConstructorError uses a pointer whose constructor error was
+// thrown away: the pointer is nil exactly when that error was set.
+func discardedConstructorError(ok bool) int {
+	d, _ := newDetector(ok) // want `error result of errflow.newDetector is discarded but d is used`
+	d.feed()
+	return d.fed
+}
+
+// discardedConstructorErrorAssign is the same through `=`.
+func discardedConstructorErrorAssign(ok bool) int {
+	var d *detector
+	d, _ = newDetector(ok) // want `error result of errflow.newDetector is discarded but d is used`
+	return d.fed
+}
+
+// discardedValueError returns a value, not a pointer: there is no nil
+// to dereference.
+func discardedValueError() int {
+	d, _ := lookup()
+	return d.fed
+}
+
+// checkedConstructor handles the error before the pointer is used.
+func checkedConstructor(ok bool) int {
+	d, err := newDetector(ok)
+	if err != nil {
+		return 0
+	}
+	return d.fed
+}
+
+// discardedFlag drops a bool, not an error.
+func discardedFlag(m map[string]*detector) int {
+	d, _ := m["x"]
+	if d == nil {
+		return 0
+	}
+	return d.fed
+}

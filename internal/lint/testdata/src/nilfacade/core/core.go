@@ -25,43 +25,10 @@ type Config struct {
 	Users int
 }
 
-// NewDetector fails on nil input — the error result exists so callers
-// notice; discarding it is the misuse nilfacade flags.
+// NewDetector fails on nil input.
 func NewDetector(p *Profile) (*Detector, error) {
 	if p == nil {
 		return nil, errors.New("core: nil reference profile")
 	}
 	return &Detector{}, nil
-}
-
-func BuildProfile(n int) (*Profile, error) {
-	if n <= 0 {
-		return nil, errors.New("core: no data")
-	}
-	return &Profile{Visits: n}, nil
-}
-
-// Pick returns nil on empty input — a helper whose nil result only an
-// interprocedural analysis can see at the caller.
-func Pick(ps []*Profile) *Profile {
-	if len(ps) == 0 {
-		return nil
-	}
-	return ps[0]
-}
-
-// Fresh provably never returns nil.
-func Fresh() *Profile {
-	return &Profile{}
-}
-
-// NewLoggingDetector never returns a nil pointer, even on its error
-// paths — the regression shape for the deleted constructor-pattern
-// heuristic, which flagged any `d, _ :=` tuple on spelling alone.
-func NewLoggingDetector(strict bool) (*Detector, error) {
-	d := &Detector{}
-	if strict {
-		return d, errors.New("core: strict mode unavailable")
-	}
-	return d, nil
 }

@@ -21,11 +21,11 @@ func nilAssignThenDeref(p *core.Profile) int {
 	return p.Anchor() // want `p may be nil at this field or method selection`
 }
 
-// discardedError drops the constructor's error — the pointer may be
-// nil exactly when the error said so.
+// discardedError drops the constructor's error. Calls are assumed to
+// return non-nil pointers: this shape is errflow's to report.
 func discardedError(p *core.Profile) {
 	d, _ := core.NewDetector(p)
-	d.Feed(1) // want `d may be nil at this field or method selection`
+	d.Feed(1)
 }
 
 // derefInNilArm uses the pointer inside the arm that just proved it
@@ -35,6 +35,15 @@ func derefInNilArm(a *core.Adversary) int {
 		return a.N // want `a may be nil at this field or method selection`
 	}
 	return a.N
+}
+
+// invertedGuard looks a profile up and uses it exactly when the lookup
+// missed.
+func invertedGuard(refs map[string]*core.Profile, user string) int {
+	if ref := refs[user]; ref == nil {
+		return ref.Anchor() // want `ref may be nil at this field or method selection`
+	}
+	return 0
 }
 
 // starDeref covers explicit pointer indirection.

@@ -82,10 +82,11 @@ type Coarsen struct {
 }
 
 // NewCoarsen returns grid snapping anchored at anchor. cell is the
-// grid size in meters and must be positive.
+// grid size in meters and must be positive and finite: a NaN or
+// infinite cell would snap every fix to a non-finite coordinate.
 func NewCoarsen(anchor geo.LatLon, cell float64) (*Coarsen, error) {
-	if cell <= 0 {
-		return nil, fmt.Errorf("mitigation: cell must be positive, got %v", cell)
+	if !(cell > 0) || math.IsInf(cell, 1) {
+		return nil, fmt.Errorf("mitigation: cell must be positive and finite, got %v", cell)
 	}
 	return &Coarsen{proj: geo.NewProjection(anchor), cell: cell}, nil
 }
@@ -115,8 +116,10 @@ const metersPerDegree = geo.EarthRadius * math.Pi / 180
 const minCut = 1e-140
 
 // NewSuppress returns suppression of fixes near the protected centers.
+// radius must be positive; +Inf protects everything, while NaN, which
+// would protect nothing, is rejected.
 func NewSuppress(centers []geo.LatLon, radius float64) (*Suppress, error) {
-	if radius <= 0 {
+	if !(radius > 0) {
 		return nil, fmt.Errorf("mitigation: radius must be positive, got %v", radius)
 	}
 	cs := make([]geo.LatLon, len(centers))

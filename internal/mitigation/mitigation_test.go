@@ -91,8 +91,10 @@ func TestTruncateKillsPoIExtraction(t *testing.T) {
 }
 
 func TestCoarsenValidationAndEffect(t *testing.T) {
-	if _, err := NewCoarsen(anchor, 0); err == nil {
-		t.Fatal("zero cell accepted")
+	for _, cell := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewCoarsen(anchor, cell); err == nil {
+			t.Fatalf("cell %v accepted", cell)
+		}
 	}
 	pts := commute(3, 1)
 	c, err := NewCoarsen(anchor, 500)
@@ -132,8 +134,10 @@ func TestCoarsenReducesMetrics(t *testing.T) {
 }
 
 func TestSuppressDropsProtectedZone(t *testing.T) {
-	if _, err := NewSuppress(nil, 0); err == nil {
-		t.Fatal("zero radius accepted")
+	for _, radius := range []float64{0, -1, math.NaN(), math.Inf(-1)} {
+		if _, err := NewSuppress(nil, radius); err == nil {
+			t.Fatalf("radius %v accepted", radius)
+		}
 	}
 	pts := commute(5, 2)
 	s, err := NewSuppress([]geo.LatLon{workPos}, 150)
@@ -378,7 +382,7 @@ func FuzzSuppressExact(f *testing.F) {
 		pos := geo.LatLon{Lat: lat, Lon: lon}
 		center := geo.LatLon{Lat: cLat, Lon: cLon}
 		s, err := NewSuppress([]geo.LatLon{center}, radius)
-		if radius <= 0 {
+		if !(radius > 0) {
 			if err == nil {
 				t.Fatalf("radius %v accepted", radius)
 			}

@@ -213,17 +213,3 @@ func (t Timer) Stop() {
 var DefLatencyBuckets = []float64{
 	0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30,
 }
-
-// ExpBuckets returns n bounds starting at start, each factor times
-// the previous — the usual way to cover several latency decades.
-func ExpBuckets(start, factor float64, n int) ([]float64, error) {
-	if start <= 0 || factor <= 1 || n < 1 {
-		return nil, fmt.Errorf("obs: ExpBuckets(%v, %v, %d) needs start > 0, factor > 1, n >= 1", start, factor, n)
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start
-		start *= factor
-	}
-	return out, nil
-}

@@ -115,24 +115,6 @@ func TestTimerObservesElapsedSeconds(t *testing.T) {
 }
 
 func TestExpBuckets(t *testing.T) {
-	got, err := ExpBuckets(0.001, 10, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0.001, 0.01, 0.1, 1}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("bucket %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-	for _, bad := range []struct {
-		start, factor float64
-		n             int
-	}{{0, 2, 3}, {1, 1, 3}, {1, 2, 0}} {
-		if _, err := ExpBuckets(bad.start, bad.factor, bad.n); err == nil {
-			t.Fatalf("ExpBuckets(%v, %v, %d) accepted", bad.start, bad.factor, bad.n)
-		}
-	}
 	if len(DefLatencyBuckets) == 0 {
 		t.Fatal("empty default buckets")
 	}

@@ -21,10 +21,14 @@
 //     The result unwraps normally, so errors.Is/As keep working (the
 //     package re-exports them to keep a single errors import).
 //
-// The privtaint analyzer (internal/lint) recognizes this package as a
-// taint boundary: values passed into privlog are considered scrubbed,
-// and values returned from it are clean. That static contract is sound
-// precisely because the runtime half scrubs unconditionally.
+// The promise is tested where bytes leave the process, black-box:
+// FindLeaks searches an exit's output for the positions that went in,
+// and exit tests run it over locwatchd's responses, diagnostic
+// endpoints and logs (internal/stream), the errors core and the
+// facade return for bad input, and privacyeval's stdout, metrics and
+// span record (internal/experiments). cmd/poiextract prints place
+// positions on purpose (geo.LatLon.String); that output is its
+// product, not a diagnostic.
 package privlog
 
 import (

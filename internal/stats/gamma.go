@@ -134,42 +134,3 @@ func ChiSquareSurvival(x float64, k int) (float64, error) {
 	}
 	return RegularizedGammaQ(float64(k)/2, x/2)
 }
-
-// ChiSquareQuantile returns the x such that ChiSquareCDF(x, k) = p, for
-// p in (0, 1). It brackets the root and bisects; precision is ~1e-10,
-// ample for critical-value lookups.
-func ChiSquareQuantile(p float64, k int) (float64, error) {
-	if k <= 0 || p <= 0 || p >= 1 || math.IsNaN(p) {
-		return 0, ErrInvalidParameter
-	}
-	lo, hi := 0.0, float64(k)
-	for {
-		cdf, err := ChiSquareCDF(hi, k)
-		if err != nil {
-			return 0, err
-		}
-		if cdf >= p {
-			break
-		}
-		hi *= 2
-		if hi > 1e9 {
-			return 0, errors.New("stats: quantile bracket overflow")
-		}
-	}
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		cdf, err := ChiSquareCDF(mid, k)
-		if err != nil {
-			return 0, err
-		}
-		if cdf < p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-		if hi-lo < 1e-10*(1+hi) {
-			break
-		}
-	}
-	return (lo + hi) / 2, nil
-}

@@ -128,52 +128,24 @@ func TestChiSquareEdges(t *testing.T) {
 	}
 }
 
-func TestChiSquareQuantileInvertsCDF(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for i := 0; i < 50; i++ {
-		k := rng.Intn(30) + 1
-		p := rng.Float64()*0.98 + 0.01
-		x, err := ChiSquareQuantile(p, k)
-		if err != nil {
-			t.Fatalf("Quantile(%v, %d): %v", p, k, err)
-		}
-		back, err := ChiSquareCDF(x, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(back-p) > 1e-8 {
-			t.Fatalf("CDF(Quantile(%v, %d)) = %v", p, k, back)
-		}
-	}
-}
-
-func TestChiSquareQuantileKnownCriticalValues(t *testing.T) {
-	// The standard alpha=0.05 critical values every textbook tabulates.
+func TestChiSquareSurvivalAtCriticalValues(t *testing.T) {
+	// The standard alpha=0.05 critical values every textbook tabulates,
+	// to three decimals: the upper tail beyond each is 0.05 to within
+	// the density times the rounding.
 	tests := []struct {
-		k    int
-		want float64
+		k        int
+		critical float64
 	}{
 		{1, 3.841}, {2, 5.991}, {3, 7.815}, {5, 11.070}, {10, 18.307},
 	}
 	for _, tt := range tests {
-		got, err := ChiSquareQuantile(0.95, tt.k)
+		got, err := ChiSquareSurvival(tt.critical, tt.k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(got-tt.want) > 0.001 {
-			t.Errorf("critical value df=%d: got %.4f, want %.3f", tt.k, got, tt.want)
+		if math.Abs(got-0.05) > 1e-4 {
+			t.Errorf("Survival(%.3f, %d) = %.6f, want 0.05", tt.critical, tt.k, got)
 		}
-	}
-}
-
-func TestChiSquareQuantileDomainErrors(t *testing.T) {
-	for _, p := range []float64{0, 1, -0.5, 1.5, math.NaN()} {
-		if _, err := ChiSquareQuantile(p, 3); err == nil {
-			t.Errorf("Quantile(%v, 3) should error", p)
-		}
-	}
-	if _, err := ChiSquareQuantile(0.5, 0); err == nil {
-		t.Error("Quantile with k=0 should error")
 	}
 }
 

@@ -167,7 +167,7 @@ func TestHTTPEvictAndUsers(t *testing.T) {
 
 func TestHTTPPoisonedUser409(t *testing.T) {
 	e, ts := testServer(t, Config{})
-	pts := commute(0)
+	pts := preciseCommute()
 	postJSON(t, ts.URL+"/v1/users/alice/fixes", fixesBody(pts[10:12]))
 	postJSON(t, ts.URL+"/v1/users/alice/fixes", fixesBody(pts[:2])) // rewind
 	if err := e.SyncAll(context.Background()); err != nil {
@@ -185,11 +185,8 @@ func TestHTTPPoisonedUser409(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
 		t.Fatal(err)
 	}
-	// The privtaint contract end to end: the served error must not leak
-	// a coordinate (our synthetic fixes sit near lat 39.99).
-	if strings.Contains(eb.Error, "39.9") {
-		t.Fatalf("error leaked a coordinate: %q", eb.Error)
-	}
+	// The served error must not carry a fix the user sent.
+	assertNoLeak(t, "409 body", []byte(eb.Error), positions(pts))
 }
 
 func TestHTTPHealthz(t *testing.T) {

@@ -111,7 +111,7 @@ func (s *shard) ingest(userID string, fixes []trace.Point) {
 		if err := st.builder.Feed(p); err != nil {
 			// The poi error carries timestamps only, never coordinates,
 			// but route it through privlog anyway: this is the service
-			// boundary the privtaint analyzer audits.
+			// boundary, and the 409 body serves this error.
 			st.err = privlog.New(err).Component("stream").Category(privlog.CategorySim).
 				Context("user", userID).Build()
 			s.eng.obsm.rejects.Add(uint64(len(fixes) - fed))

@@ -68,9 +68,7 @@ func Destination(p LatLon, bearingDeg, dist float64) LatLon {
 func NewProjection(origin LatLon) *Projection { return geo.NewProjection(origin) }
 
 // ScrubLatLon renders p at privacy-safe precision (~1.1 km
-// quantization, marked with ≈) for logs and error messages. The
-// privtaint analyzer treats values formatted this way as scrubbed;
-// printing a raw LatLon instead is a lint finding.
+// quantization, marked with ≈) for logs and error messages.
 func ScrubLatLon(p LatLon) string { return privlog.ScrubLatLon(p) }
 
 // NewPrivacyLogger returns a categorized logger whose formatting
