@@ -1,9 +1,12 @@
 // Benchmarks regenerating every table and figure of the paper, one
-// bench per artifact. They run on the reduced Quick configuration (24
+// bench per driver. They run on the reduced Quick configuration (24
 // users, 8 days) so `go test -bench=.` completes in minutes; pass the
-// full scale through cmd/privacyeval for paper-size runs. The shared
-// Lab is built once, so each bench measures its experiment's own
-// compute (trace regeneration and analysis), not world construction.
+// full scale through cmd/privacyeval for paper-size runs. A Lab
+// memoizes what its drivers build, so each iteration runs its driver
+// on a fresh Lab whose ground-truth profiles were built with the timer
+// stopped: a bench times every replay and cache build its driver pays
+// for on a cold Lab, apart from world construction and those profiles,
+// and never a memoized result.
 package locwatch_test
 
 import (
@@ -15,39 +18,25 @@ import (
 )
 
 var (
-	labOnce sync.Once
-	lab     *experiments.Lab
-	labErr  error
-
 	reportOnce sync.Once
 	mreport    *market.Report
 	reportErr  error
 )
 
-func sharedLab(b *testing.B) *experiments.Lab {
+// freshLab returns a cold Quick Lab with its ground-truth profiles
+// built while the benchmark timer is stopped.
+func freshLab(b *testing.B) *experiments.Lab {
 	b.Helper()
-	labOnce.Do(func() {
-		l, err := experiments.NewLab(experiments.Quick())
-		if err != nil {
-			labErr = err
-			return
-		}
-		// Pre-build the caches shared by the figure benches so each
-		// bench measures only its own work.
-		if _, err := l.Profiles(); err != nil {
-			labErr = err
-			return
-		}
-		if _, err := l.HistoricalProfiles(); err != nil {
-			labErr = err
-			return
-		}
-		lab = l
-	})
-	if labErr != nil {
-		b.Fatal(labErr)
+	b.StopTimer()
+	defer b.StartTimer()
+	l, err := experiments.NewLab(experiments.Quick())
+	if err != nil {
+		b.Fatal(err)
 	}
-	return lab
+	if _, err := l.Profiles(); err != nil {
+		b.Fatal(err)
+	}
+	return l
 }
 
 func sharedMarketReport(b *testing.B) *market.Report {
@@ -106,9 +95,8 @@ func BenchmarkFigure1(b *testing.B) {
 // BenchmarkFigure2 regenerates the Table III / Figure 2 parameter
 // sweep of the PoI extractor.
 func BenchmarkFigure2(b *testing.B) {
-	l := sharedLab(b)
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		l := freshLab(b)
 		r, err := experiments.Figure2(l)
 		if err != nil {
 			b.Fatal(err)
@@ -116,111 +104,54 @@ func BenchmarkFigure2(b *testing.B) {
 		if len(r.Rows) != 6 || r.Rows[0].PoIs == 0 {
 			b.Fatalf("Figure 2 result degenerate: %+v", r.Rows)
 		}
+		l.Close()
 	}
 }
 
-// BenchmarkFigure3a regenerates the PoI_total frequency sweep.
-func BenchmarkFigure3a(b *testing.B) {
-	l := sharedLab(b)
+// BenchmarkFigure3 regenerates the PoI_total (3a) and PoI_sensitive
+// (3b) frequency sweeps, which one driver computes.
+func BenchmarkFigure3(b *testing.B) {
 	rep := sharedMarketReport(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		l := freshLab(b)
 		r, err := experiments.Figure3(l, rep)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if r.Rows[0].PoIs == 0 || r.Rows[0].Fraction < 0.99 {
-			b.Fatalf("Figure 3(a) degenerate: %+v", r.Rows[0])
+		if r.Rows[0].PoIs == 0 || r.Rows[0].Fraction < 0.99 || r.Rows[0].SensitiveTotal[2] == 0 {
+			b.Fatalf("Figure 3 degenerate: %+v", r.Rows[0])
 		}
+		l.Close()
 	}
 }
 
-// BenchmarkFigure3b regenerates the PoI_sensitive frequency sweep
-// (same computation over the sensitive subsets).
-func BenchmarkFigure3b(b *testing.B) {
-	l := sharedLab(b)
-	rep := sharedMarketReport(b)
-	b.ResetTimer()
+// BenchmarkFigure4 regenerates the detection experiments, which one
+// driver computes: the detection-speed CDFs from the trace start (4a)
+// and from a random start (4b), the detection-count interval sweep
+// (4c) and the faster-pattern comparison (4d).
+func BenchmarkFigure4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure3(l, rep)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.Rows[0].SensitiveTotal[2] == 0 {
-			b.Fatalf("Figure 3(b) degenerate: %+v", r.Rows[0])
-		}
-	}
-}
-
-// BenchmarkFigure4a regenerates the detection-speed CDF from the trace
-// start (native rate, both patterns).
-func BenchmarkFigure4a(b *testing.B) {
-	l := sharedLab(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+		l := freshLab(b)
 		r, err := experiments.Figure4(l)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(r.FromStart) == 0 {
-			b.Fatal("Figure 4(a) empty")
+		if len(r.FromStart) == 0 || len(r.RandomStart) == 0 || len(r.Sweep) == 0 {
+			b.Fatal("Figure 4 empty")
 		}
-	}
-}
-
-// BenchmarkFigure4b covers the random-start variant (computed by the
-// same driver; asserted separately).
-func BenchmarkFigure4b(b *testing.B) {
-	l := sharedLab(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure4(l)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(r.RandomStart) == 0 {
-			b.Fatal("Figure 4(b) empty")
-		}
-	}
-}
-
-// BenchmarkFigure4c regenerates the detection-count interval sweep.
-func BenchmarkFigure4c(b *testing.B) {
-	l := sharedLab(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure4(l)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(r.Sweep) == 0 || r.Sweep[0].Detected == nil {
-			b.Fatal("Figure 4(c) empty")
-		}
-	}
-}
-
-// BenchmarkFigure4d regenerates the faster-pattern comparison.
-func BenchmarkFigure4d(b *testing.B) {
-	l := sharedLab(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure4(l)
-		if err != nil {
-			b.Fatal(err)
-		}
-		row := r.Sweep[0]
-		if row.P2Faster+row.P1Faster+row.BothEqual == 0 {
+		if row := r.Sweep[0]; row.P2Faster+row.P1Faster+row.BothEqual == 0 {
 			b.Fatal("Figure 4(d) empty")
 		}
+		l.Close()
 	}
 }
 
 // BenchmarkFigure5 regenerates the entropy / degree-of-anonymity
 // comparison with the historical-profile adversary.
 func BenchmarkFigure5(b *testing.B) {
-	l := sharedLab(b)
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		l := freshLab(b)
 		r, err := experiments.Figure5(l)
 		if err != nil {
 			b.Fatal(err)
@@ -228,15 +159,16 @@ func BenchmarkFigure5(b *testing.B) {
 		if r.Profiles == 0 || len(r.Rows) == 0 {
 			b.Fatal("Figure 5 empty")
 		}
+		l.Close()
 	}
 }
 
 // BenchmarkCombinedDetector measures the paper's concluding
-// recommendation: alert on whichever pattern fires first.
+// recommendation, alert on whichever pattern fires first, run alone:
+// on a cold Lab it builds the detection sweeps Figure 4 would share.
 func BenchmarkCombinedDetector(b *testing.B) {
-	l := sharedLab(b)
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		l := freshLab(b)
 		r, err := experiments.Combined(l)
 		if err != nil {
 			b.Fatal(err)
@@ -244,15 +176,15 @@ func BenchmarkCombinedDetector(b *testing.B) {
 		if r.Rows[0].DetectedCombined == 0 {
 			b.Fatal("combined detector fired for nobody")
 		}
+		l.Close()
 	}
 }
 
 // BenchmarkAblationExtractor compares the buffer extractor against the
 // stay-point baseline.
 func BenchmarkAblationExtractor(b *testing.B) {
-	l := sharedLab(b)
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		l := freshLab(b)
 		r, err := experiments.AblationExtractor(l)
 		if err != nil {
 			b.Fatal(err)
@@ -260,14 +192,14 @@ func BenchmarkAblationExtractor(b *testing.B) {
 		if r.Rows[0].Buffer == 0 {
 			b.Fatal("extractor ablation degenerate")
 		}
+		l.Close()
 	}
 }
 
 // BenchmarkAblationMitigation measures the defense suite.
 func BenchmarkAblationMitigation(b *testing.B) {
-	l := sharedLab(b)
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		l := freshLab(b)
 		r, err := experiments.AblationMitigation(l)
 		if err != nil {
 			b.Fatal(err)
@@ -275,27 +207,27 @@ func BenchmarkAblationMitigation(b *testing.B) {
 		if len(r.Rows) == 0 {
 			b.Fatal("mitigation ablation empty")
 		}
+		l.Close()
 	}
 }
 
 // BenchmarkAblationWeighting compares the adversary's posterior
 // weightings (Formula 2 literal vs p-value).
 func BenchmarkAblationWeighting(b *testing.B) {
-	l := sharedLab(b)
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		l := freshLab(b)
 		if _, err := experiments.AblationWeighting(l); err != nil {
 			b.Fatal(err)
 		}
+		l.Close()
 	}
 }
 
 // BenchmarkAblationCloaking measures the k-anonymity trusted-server
 // baseline over the aligned population.
 func BenchmarkAblationCloaking(b *testing.B) {
-	l := sharedLab(b)
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		l := freshLab(b)
 		r, err := experiments.AblationCloaking(l)
 		if err != nil {
 			b.Fatal(err)
@@ -303,15 +235,15 @@ func BenchmarkAblationCloaking(b *testing.B) {
 		if len(r.Rows) != 3 {
 			b.Fatal("cloaking ablation degenerate")
 		}
+		l.Close()
 	}
 }
 
 // BenchmarkAblationTracking measures the Hoh-style time-to-confusion
 // comparison across release policies.
 func BenchmarkAblationTracking(b *testing.B) {
-	l := sharedLab(b)
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		l := freshLab(b)
 		r, err := experiments.AblationTracking(l)
 		if err != nil {
 			b.Fatal(err)
@@ -319,17 +251,18 @@ func BenchmarkAblationTracking(b *testing.B) {
 		if len(r.Rows) != 4 {
 			b.Fatal("tracking ablation degenerate")
 		}
+		l.Close()
 	}
 }
 
 // BenchmarkAblationTail compares the chi-square tail conventions.
 func BenchmarkAblationTail(b *testing.B) {
-	l := sharedLab(b)
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		l := freshLab(b)
 		if _, err := experiments.AblationTail(l); err != nil {
 			b.Fatal(err)
 		}
+		l.Close()
 	}
 }
 

@@ -17,6 +17,10 @@ type Detection struct {
 	// decision is based on.
 	PointsFed  int
 	VisitsSeen int
+	// AtEnd marks the result of the last check a first-breach loop
+	// gives a detector still clear when its stream ends; a breach found
+	// on the Due cadence has AtEnd false.
+	AtEnd bool
 }
 
 // Detector is the streaming His_bin risk monitor: it accumulates the
@@ -104,26 +108,86 @@ func (d *Detector) Check() (Detection, error) {
 
 // FirstBreach streams src into the detector until the first breach,
 // checking whenever one is Due, with the cadence starting at the call.
-// It returns the detection state at the moment of the breach, or the
-// final state with Breached == false if the stream ends first.
+// It returns the detection state at the moment of the breach. If the
+// stream ends first, it returns the result of one last check on
+// everything fed, with AtEnd set; that check can itself breach.
 func (d *Detector) FirstBreach(src trace.Source) (Detection, error) {
-	dets, err := firstBreaches(src, d)
+	dets, err := newWatch(d).drain(src)
 	if err != nil {
 		return Detection{}, err
 	}
 	return dets[0], nil
 }
 
-// firstBreaches feeds src once into the builder the detectors share
-// and checks each detector whenever it is Due, until all have breached
-// or src ends; those still clear at the end get one last check. Each
-// result equals that detector's own FirstBreach over src.
-func firstBreaches(src trace.Source, ds ...*Detector) ([]Detection, error) {
+// Watch is the first-breach loop in push form. It is told each fix of
+// one stream in order, feeds it once into the builder its detectors
+// share, and checks each detector still clear whenever that detector
+// is Due. Finish ends the stream. Each result equals that detector's
+// own FirstBreach over the fixes fed. FirstBreach and FirstBreaches
+// are the pull loop over a Watch; a caller that replays one stream
+// into several watches pushes each fix itself.
+type Watch struct {
+	ds      []*Detector
+	out     []Detection
+	pending int // detectors not yet breached
+}
+
+// newWatch starts a watch over detectors that share one builder, with
+// every cadence starting now.
+func newWatch(ds ...*Detector) *Watch {
 	for _, d := range ds {
 		d.markChecked()
 	}
-	out := make([]Detection, len(ds))
-	for pending := len(ds); pending > 0; {
+	return &Watch{ds: ds, out: make([]Detection, len(ds)), pending: len(ds)}
+}
+
+// Feed adds the next fix and checks every detector still clear whose
+// check is Due.
+func (w *Watch) Feed(pt trace.Point) error {
+	if err := w.ds[0].Feed(pt); err != nil {
+		return err
+	}
+	for i, d := range w.ds {
+		if w.out[i].Breached || !d.Due() {
+			continue
+		}
+		det, err := d.Check()
+		if err != nil {
+			return err
+		}
+		w.out[i] = det
+		if det.Breached {
+			w.pending--
+		}
+	}
+	return nil
+}
+
+// Done reports whether every detector has breached: no further fix can
+// change a result.
+func (w *Watch) Done() bool { return w.pending == 0 }
+
+// Finish ends the stream: every detector still clear gets one last
+// check on everything fed, whose result carries AtEnd. It returns one
+// Detection per detector, in order. Call it once, after the last Feed.
+func (w *Watch) Finish() ([]Detection, error) {
+	for i, d := range w.ds {
+		if w.out[i].Breached {
+			continue
+		}
+		det, err := d.Check()
+		if err != nil {
+			return nil, err
+		}
+		det.AtEnd = true
+		w.out[i] = det
+	}
+	return w.out, nil
+}
+
+// drain pushes src into w until w is Done or src ends, then finishes w.
+func (w *Watch) drain(src trace.Source) ([]Detection, error) {
+	for !w.Done() {
 		pt, err := src.Next()
 		if errors.Is(err, io.EOF) {
 			break
@@ -131,31 +195,11 @@ func firstBreaches(src trace.Source, ds ...*Detector) ([]Detection, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: first breach: %w", err)
 		}
-		if err := ds[0].Feed(pt); err != nil {
-			return nil, err
-		}
-		for i, d := range ds {
-			if out[i].Breached || !d.Due() {
-				continue
-			}
-			if out[i], err = d.Check(); err != nil {
-				return nil, err
-			}
-			if out[i].Breached {
-				pending--
-			}
-		}
-	}
-	for i, d := range ds {
-		if out[i].Breached {
-			continue
-		}
-		var err error
-		if out[i], err = d.Check(); err != nil {
+		if err := w.Feed(pt); err != nil {
 			return nil, err
 		}
 	}
-	return out, nil
+	return w.Finish()
 }
 
 // CombinedDetector evaluates both patterns at once and raises on
@@ -207,11 +251,17 @@ func (c *CombinedDetector) Check() (combined Detection, region, movement Detecti
 	return combined, region, movement, nil
 }
 
+// Watch starts a first-breach watch over both patterns, with both
+// cadences starting now; Finish returns the region detection, then the
+// movement one. Drive a CombinedDetector through one Watch or through
+// Feed, Due and Check, not both.
+func (c *CombinedDetector) Watch() *Watch { return newWatch(c.region, c.movement) }
+
 // FirstBreaches is FirstBreach for both patterns over one replay of
 // src: each result equals a separate Detector's FirstBreach on the
 // same stream.
 func (c *CombinedDetector) FirstBreaches(src trace.Source) (region, movement Detection, err error) {
-	dets, err := firstBreaches(src, c.region, c.movement)
+	dets, err := c.Watch().drain(src)
 	if err != nil {
 		return Detection{}, Detection{}, err
 	}

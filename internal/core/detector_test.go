@@ -212,14 +212,53 @@ func TestCombinedDetectorFiresOnEither(t *testing.T) {
 	}
 }
 
-// TestCombinedFirstBreachesMatchesDetectors pins FirstBreaches to its
-// definition: per pattern, the Detection an independent Detector's
-// FirstBreach returns on the same stream. The fixtures cover pattern 1
-// breaching first (the user's own trace), neither breaching (a
-// stranger) and pattern 2 breaching first (the routine user).
+// endOnlyPrefix returns the shortest prefix of pts on which pattern's
+// detector breaches only at the end-of-stream check: the first length
+// at which a check of everything fed so far breaches, when that comes
+// before the first breach on the Due cadence. A probe detector checked
+// after every fix finds it; checks do not change the observed profile.
+func endOnlyPrefix(t *testing.T, ref *Profile, pts []trace.Point, pattern Pattern) []trace.Point {
+	t.Helper()
+	d, err := NewDetector(ref, pattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cadence, err := d.FirstBreach(trace.NewSliceSource(pts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe, err := NewDetector(ref, pattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n, p := range pts[:cadence.PointsFed] {
+		if err := probe.Feed(p); err != nil {
+			t.Fatal(err)
+		}
+		det, err := probe.Check()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if det.Breached && n+1 < cadence.PointsFed {
+			return pts[:n+1]
+		}
+	}
+	t.Fatalf("%v: no prefix breaches before the cadence breach at %d points", pattern, cadence.PointsFed)
+	return nil
+}
+
+// TestCombinedFirstBreachesMatchesDetectors pins FirstBreaches and the
+// push form to their definition: per pattern, the Detection an
+// independent Detector's FirstBreach returns on the same stream. The
+// fixtures cover pattern 1 breaching first (the user's own trace),
+// neither breaching (a stranger), pattern 2 breaching first (the
+// routine user) and pattern 1 breaching only at the end-of-stream
+// check (a prefix of the user's own trace). AtEnd marks exactly the
+// results of that last check.
 func TestCombinedFirstBreachesMatchesDetectors(t *testing.T) {
 	own := commuteTrace(11, 10, anchor, at(60, 4000), at(150, 2500))
 	routine := routineTrace()
+	endOnly := endOnlyPrefix(t, mustProfile(t, own), own, PatternRegion)
 	cases := []struct {
 		name      string
 		reference []trace.Point
@@ -229,6 +268,7 @@ func TestCombinedFirstBreachesMatchesDetectors(t *testing.T) {
 		{"stranger", commuteTrace(12, 8, anchor, at(60, 4000), at(150, 2500)),
 			commuteTrace(13, 8, at(270, 6000), at(300, 9000), at(330, 7000))},
 		{"routine user", routine, routine},
+		{"end-only breach", own, endOnly},
 	}
 	for _, tc := range cases {
 		ref := mustProfile(t, tc.reference)
@@ -240,7 +280,26 @@ func TestCombinedFirstBreachesMatchesDetectors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for pattern, got := range map[Pattern]Detection{PatternRegion: region, PatternMovement: movement} {
+		// The push form, driven fix by fix until every pattern breached.
+		pushed, err := NewCombinedDetector(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := pushed.Watch()
+		for _, p := range tc.stream {
+			if w.Done() {
+				break
+			}
+			if err := w.Feed(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pushedDets, err := w.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, pattern := range []Pattern{PatternRegion, PatternMovement} {
+			got := [...]Detection{region, movement}[i]
 			d, err := NewDetector(ref, pattern)
 			if err != nil {
 				t.Fatal(err)
@@ -252,6 +311,23 @@ func TestCombinedFirstBreachesMatchesDetectors(t *testing.T) {
 			if got != want {
 				t.Errorf("%s, %v: FirstBreaches = %+v, FirstBreach = %+v", tc.name, pattern, got, want)
 			}
+			if pushedDets[i] != want {
+				t.Errorf("%s, %v: Watch = %+v, FirstBreach = %+v", tc.name, pattern, pushedDets[i], want)
+			}
+			// A breach before the last fix came from a cadence check; the
+			// end-of-stream check sees every fix.
+			if want.Breached && want.PointsFed < len(tc.stream) && want.AtEnd {
+				t.Errorf("%s, %v: cadence breach at %d of %d points has AtEnd set", tc.name, pattern, want.PointsFed, len(tc.stream))
+			}
+			if want.AtEnd && want.PointsFed != len(tc.stream) {
+				t.Errorf("%s, %v: end-of-stream result saw %d of %d points", tc.name, pattern, want.PointsFed, len(tc.stream))
+			}
+			if !want.Breached && !want.AtEnd {
+				t.Errorf("%s, %v: clear result without the end-of-stream check", tc.name, pattern)
+			}
+		}
+		if tc.name == "end-only breach" && (!region.Breached || !region.AtEnd) {
+			t.Errorf("end-only fixture: region detection %+v, want a breach at the end-of-stream check", region)
 		}
 	}
 }

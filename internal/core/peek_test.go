@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -92,6 +93,30 @@ func TestPeekDoesNotCloseOpenStay(t *testing.T) {
 	}
 	if v := b.Profile().NumVisits(); v != 1 {
 		t.Fatalf("finalize did not flush the open stay: %d visits", v)
+	}
+}
+
+// TestPeekBeforeFirstFix pins Peek on a fresh builder: a streaming
+// user can be scored before any fix arrives, so Peek must return an
+// empty profile, not nil, and scoring it must report ErrNoProfile.
+func TestPeekBeforeFirstFix(t *testing.T) {
+	b, err := NewProfileBuilder(anchor, Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Release()
+	empty := b.Peek()
+	if empty == nil {
+		t.Fatal("Peek returned nil before the first fix")
+	}
+	if empty.NumPoints() != 0 || empty.NumVisits() != 0 {
+		t.Fatalf("fresh builder peeks %d points, %d visits", empty.NumPoints(), empty.NumVisits())
+	}
+	ref := mustProfile(t, commuteTrace(19, 4, anchor, at(60, 4000), at(150, 2500)))
+	for _, pattern := range []Pattern{PatternRegion, PatternMovement} {
+		if _, err := ref.Compare(empty, pattern); !errors.Is(err, ErrNoProfile) {
+			t.Fatalf("%v: Compare against an empty peek = %v, want ErrNoProfile", pattern, err)
+		}
 	}
 }
 

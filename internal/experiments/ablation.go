@@ -386,12 +386,12 @@ func AblationTail(l *Lab) (*AblationTailResult, error) {
 			sub.Close()
 			return nil, err
 		}
-		outcomes, err := sub.detectAll(profiles, 0, nil)
+		sweeps, err := sub.detectAll(profiles, 0, atTraceStart)
 		sub.Close()
 		if err != nil {
 			return nil, err
 		}
-		for _, o := range outcomes {
+		for _, o := range sweeps[atTraceStart] {
 			if !o.Detected {
 				continue
 			}

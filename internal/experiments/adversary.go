@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -39,10 +40,17 @@ type Figure5Result struct {
 // at each access interval (the remaining window), Formula 2–5 applied
 // per user under both patterns.
 func Figure5(l *Lab) (*Figure5Result, error) {
-	hist, err := l.HistoricalProfiles()
+	// The history and the native-rate collection are the two sides of
+	// the split; one native replay builds both.
+	windows := []window{beforeSplit}
+	if slices.Contains(l.cfg.Intervals, 0) {
+		windows = append(windows, afterSplit)
+	}
+	native, err := l.profilesAt(0, windows...)
 	if err != nil {
 		return nil, err
 	}
+	hist := native[beforeSplit]
 	adv, err := core.NewAdversary(hist)
 	if err != nil {
 		return nil, err
@@ -57,9 +65,11 @@ func Figure5(l *Lab) (*Figure5Result, error) {
 		}
 		// Collected (post-split) profiles are cached per interval on the
 		// lab, so reruns of the attack share one profile-building pass.
-		collectedAll, err := l.collectedAt(iv)
-		if err != nil {
-			return nil, err
+		collectedAll := native[afterSplit]
+		if iv != 0 {
+			if collectedAll, err = l.collectedAt(iv); err != nil {
+				return nil, err
+			}
 		}
 		// Per-user outcome slots, folded sequentially by user id below:
 		// the degree-of-anonymity sums are floats, so a pinned summation

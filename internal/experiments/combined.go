@@ -1,13 +1,9 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"strings"
 	"time"
-
-	"locwatch/internal/core"
 )
 
 // CombinedRow compares the combined detector against the individual
@@ -35,7 +31,15 @@ type CombinedResult struct {
 
 // Combined runs the combined detector across the interval sweep and
 // reports how much earlier and more often it fires than either pattern
-// alone.
+// alone. It is a fold over Figure 4's memoized detection sweeps: a
+// sweep replays each user's trace through a core.CombinedDetector on
+// the Due cadence, which is the alert the combined detector raises.
+// Both patterns start checked together on one shared builder, so their
+// checks fall on the same fixes until one breaches; after that the
+// other keeps the same cadence. A pattern's first fire is therefore
+// its breach's PointsFed, and the combined first fire is the smaller
+// of the two: PointsFed never decreases between checks. A result of
+// the end-of-stream check (AtEnd) is no alert and counts as no fire.
 func Combined(l *Lab) (*CombinedResult, error) {
 	profiles, err := l.Profiles()
 	if err != nil {
@@ -47,75 +51,41 @@ func Combined(l *Lab) (*CombinedResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		row := CombinedRow{Interval: iv}
-		// Per-user first-fire slots; the float fraction sums are folded
-		// sequentially by user id below so the summation order (and hence
-		// the mean, bit for bit) is independent of worker count.
-		type firstFires struct{ p1, p2, c int }
-		firsts := make([]firstFires, l.world.NumUsers())
-		err = l.forEachUser(func(id int) error {
-			cd, err := core.NewCombinedDetector(profiles[id])
-			if err != nil {
-				return err
-			}
-			src, err := l.world.Trace(id, iv)
-			if err != nil {
-				return err
-			}
-			// Only checks on the cadence count: unlike FirstBreach, there
-			// is no last check at the end of the stream.
-			var f firstFires
-			for f.p1 == 0 || f.p2 == 0 {
-				pt, err := src.Next()
-				if errors.Is(err, io.EOF) {
-					break
-				}
-				if err != nil {
-					return err
-				}
-				if err := cd.Feed(pt); err != nil {
-					return err
-				}
-				if !cd.Due() {
-					continue
-				}
-				combined, p1, p2, err := cd.Check()
-				if err != nil {
-					return err
-				}
-				if p1.Breached && f.p1 == 0 {
-					f.p1 = p1.PointsFed
-				}
-				if p2.Breached && f.p2 == 0 {
-					f.p2 = p2.PointsFed
-				}
-				if combined.Breached && f.c == 0 {
-					f.c = combined.PointsFed
-				}
-			}
-			firsts[id] = f
-			return nil
-		})
+		sweeps, err := l.detectAll(profiles, iv, atTraceStart)
 		if err != nil {
 			return nil, err
 		}
+		outcomes := sweeps[atTraceStart]
+		row := CombinedRow{Interval: iv}
+		// The float fraction sums are folded sequentially by user id, so
+		// the summation order (and hence the mean, bit for bit) is
+		// independent of worker count.
 		var sumP1, sumP2, sumC float64
-		for id, f := range firsts {
-			total := totals[id]
+		for id, total := range totals {
 			if total == 0 {
 				continue
 			}
-			if f.p1 > 0 {
+			var first [2]int // per pattern, the fixes fed at its first fire; 0 when none
+			for i := range patterns {
+				if o := outcomes[id*len(patterns)+i]; o.Detected && !o.AtEnd {
+					first[i] = o.PointsFed
+				}
+			}
+			p1, p2, c := first[0], first[1], first[0]
+			if c == 0 || (p2 > 0 && p2 < c) {
+				c = p2
+			}
+			if p1 > 0 {
 				row.DetectedP1++
-				sumP1 += float64(f.p1) / float64(total)
+				sumP1 += float64(p1) / float64(total)
 			}
-			if f.p2 > 0 {
+			if p2 > 0 {
 				row.DetectedP2++
-				sumP2 += float64(f.p2) / float64(total)
+				sumP2 += float64(p2) / float64(total)
 			}
-			if f.c > 0 {
+			if c > 0 {
 				row.DetectedCombined++
-				sumC += float64(f.c) / float64(total)
+				sumC += float64(c) / float64(total)
 			}
 		}
 		if row.DetectedP1 > 0 {

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
@@ -11,12 +14,21 @@ import (
 	"locwatch/internal/trace"
 )
 
-// detectKey identifies one memoized detectAll sweep. The 4(b) phase
-// offsets are derived deterministically from the world seed, so
-// whether phases were applied (not their values) completes the key.
+// start is where a detection sweep's collection begins.
+type start int
+
+const (
+	atTraceStart  start = iota // the trace's first fix: Figures 4(a), 4(c) and 4(d)
+	atRandomPhase              // each user's random phase: Figure 4(b)
+)
+
+// detectKey identifies one memoized detection sweep. The 4(b) phase
+// offsets are derived deterministically from the world seed
+// (randomPhases), so whether phases apply (not their values) completes
+// the key.
 type detectKey struct {
 	interval time.Duration
-	phased   bool
+	start    start
 }
 
 // DetectionOutcome is one user × pattern detection result.
@@ -27,6 +39,11 @@ type DetectionOutcome struct {
 	// Fraction of the app-collectable stream consumed when the breach
 	// first fired (1 when never).
 	Fraction float64
+	// PointsFed and AtEnd are the first-breach core.Detection's: the
+	// fixes fed when it was decided, and whether the end-of-stream
+	// check decided it rather than the Due cadence.
+	PointsFed int
+	AtEnd     bool
 }
 
 // Figure4Result aggregates the His_bin detection experiments.
@@ -66,28 +83,18 @@ func Figure4(l *Lab) (*Figure4Result, error) {
 		RandomStart: map[core.Pattern][]float64{},
 	}
 
-	// 4(a): native rate from the start.
-	fromStart, err := l.detectAll(profiles, 0, nil)
+	// 4(a) from the trace start and 4(b) from a random position (a
+	// per-user deterministic phase in the first half of the period),
+	// both at native rate, from one replay.
+	native, err := l.detectAll(profiles, 0, atTraceStart, atRandomPhase)
 	if err != nil {
 		return nil, err
 	}
+	fromStart, randomStart := native[atTraceStart], native[atRandomPhase]
 	for _, o := range fromStart {
 		if o.Detected {
 			res.FromStart[o.Pattern] = append(res.FromStart[o.Pattern], o.Fraction)
 		}
-	}
-
-	// 4(b): native rate from a random position in the trace (a per-user
-	// deterministic phase in the first half of the period).
-	phases := make([]time.Duration, l.world.NumUsers())
-	rng := rand.New(rand.NewSource(l.cfg.Mobility.Seed*7919 + 5))
-	half := time.Duration(l.cfg.Mobility.Days) * 24 * time.Hour / 2
-	for i := range phases {
-		phases[i] = time.Duration(rng.Int63n(int64(half)))
-	}
-	randomStart, err := l.detectAll(profiles, 0, phases)
-	if err != nil {
-		return nil, err
 	}
 	for _, o := range randomStart {
 		if o.Detected {
@@ -99,10 +106,11 @@ func Figure4(l *Lab) (*Figure4Result, error) {
 	for _, iv := range l.cfg.Intervals {
 		outcomes := fromStart
 		if iv != 0 {
-			outcomes, err = l.detectAll(profiles, iv, nil)
+			sweeps, err := l.detectAll(profiles, iv, atTraceStart)
 			if err != nil {
 				return nil, err
 			}
+			outcomes = sweeps[atTraceStart]
 		}
 		row := Figure4SweepRow{Interval: iv, Detected: map[core.Pattern]int{}}
 		perUser := map[int]map[core.Pattern]DetectionOutcome{}
@@ -135,70 +143,153 @@ func Figure4(l *Lab) (*Figure4Result, error) {
 	return res, nil
 }
 
-// detectAll runs FirstBreach for every user under both patterns at the
-// given interval and phase offsets (nil = from the start). Results are
-// memoized on the Lab: the inputs are fully determined by the lab
-// configuration (the 4(b) phases are seeded from the world seed), so a
-// driver rerun on the same lab replays nothing.
-func (l *Lab) detectAll(profiles []*core.Profile, interval time.Duration, phases []time.Duration) ([]DetectionOutcome, error) {
-	return l.detections.get(detectKey{interval: interval, phased: phases != nil}, func() ([]DetectionOutcome, error) {
-		sp := l.root.Child("detect_all")
-		sp.SetAttr("interval", intervalLabel(interval))
-		sp.SetAttr("phased", fmt.Sprint(phases != nil))
-		defer sp.End()
+// randomPhases returns Figure 4(b)'s per-user start offsets: a
+// deterministic phase in the first half of the period, seeded from
+// the world seed.
+func (l *Lab) randomPhases() []time.Duration {
+	phases := make([]time.Duration, l.world.NumUsers())
+	rng := rand.New(rand.NewSource(l.cfg.Mobility.Seed*7919 + 5))
+	half := time.Duration(l.cfg.Mobility.Days) * 24 * time.Hour / 2
+	for i := range phases {
+		phases[i] = time.Duration(rng.Int63n(int64(half)))
+	}
+	return phases
+}
 
-		totals, err := l.pointTotals(interval)
-		if err != nil {
-			return nil, err
+// detectAll returns the detection sweeps at the given interval from
+// each of starts, indexed by start: every user's first breach under
+// both patterns against their own profile. Sweeps are memoized on the
+// Lab: their inputs are fully determined by the lab configuration, so
+// a driver rerun on the same lab replays nothing. The sweeps not
+// memoized yet are built together, from one replay of each user's
+// trace.
+func (l *Lab) detectAll(profiles []*core.Profile, interval time.Duration, starts ...start) ([atRandomPhase + 1][]DetectionOutcome, error) {
+	var out [atRandomPhase + 1][]DetectionOutcome
+	var missing []start
+	for _, st := range starts {
+		if o, ok := l.detections.lookup(detectKey{interval, st}); ok {
+			out[st] = o
+		} else {
+			missing = append(missing, st)
 		}
-		// Index-ordered reduction: every worker writes its user's slots, so
-		// the outcome order is user-major regardless of worker count or
-		// completion order — a determinism invariant the Workers=1-vs-N
-		// test pins (DESIGN.md §7).
-		out := make([]DetectionOutcome, l.world.NumUsers()*len(patterns))
-		err = l.forEachUser(func(id int) error {
-			denom := totals[id]
-			if phases != nil {
-				// The collectable stream starts mid-trace; its size is the
-				// right denominator for "fraction of data consumed". The
-				// sampler filters on timestamps alone, so the cheap
-				// timestamps-only stream yields the exact count.
-				src, err := l.world.TraceTimes(id, interval)
-				if err != nil {
-					return err
-				}
-				denom, err = trace.Count(trace.NewSampler(src, 0, phases[id]))
-				if err != nil {
-					return err
-				}
-			}
-			src, err := l.world.Trace(id, interval)
-			if err != nil {
-				return err
-			}
-			if phases != nil {
-				src = trace.NewSampler(src, 0, phases[id])
+	}
+	if len(missing) == 0 {
+		return out, nil
+	}
+	built, err := l.detectSweeps(profiles, interval, missing)
+	if err != nil {
+		return out, err
+	}
+	for i, st := range missing {
+		out[st] = l.detections.put(detectKey{interval, st}, built[i])
+	}
+	return out, nil
+}
+
+// gatedWatch is one sweep's first-breach watch over a user's replay,
+// behind the gate that decides which fixes the sweep collects.
+type gatedWatch struct {
+	gate     trace.Gate
+	watch    *core.Watch
+	withheld int // fixes the gate kept from the watch
+}
+
+// detectSweeps builds the detection sweeps at interval, one per entry
+// of starts, from one replay of each user's trace: every fix goes to
+// each sweep's watch that its gate keeps. A sweep from the trace start
+// keeps every fix. A sweep from a random phase has the gate
+// trace.NewGate(0, phase), the decision trace.NewSampler(src, 0,
+// phase) makes, so its watch sees exactly the stream that sampler
+// would release.
+func (l *Lab) detectSweeps(profiles []*core.Profile, interval time.Duration, starts []start) ([][]DetectionOutcome, error) {
+	sp := l.root.Child("detect_all")
+	sp.SetAttr("interval", intervalLabel(interval))
+	sp.SetAttr("phased", fmt.Sprint(slices.Contains(starts, atRandomPhase)))
+	defer sp.End()
+
+	totals, err := l.pointTotals(interval)
+	if err != nil {
+		return nil, err
+	}
+	var phases []time.Duration
+	if slices.Contains(starts, atRandomPhase) {
+		phases = l.randomPhases()
+	}
+	// Index-ordered reduction: every worker writes its user's slots, so
+	// the outcome order is user-major regardless of worker count or
+	// completion order — a determinism invariant the Workers=1-vs-N
+	// test pins (DESIGN.md §7).
+	out := make([][]DetectionOutcome, len(starts))
+	for i := range out {
+		out[i] = make([]DetectionOutcome, l.world.NumUsers()*len(patterns))
+	}
+	err = l.forEachUser(func(id int) error {
+		ws := make([]gatedWatch, len(starts))
+		for i, st := range starts {
+			var phase time.Duration
+			if st == atRandomPhase {
+				phase = phases[id]
 			}
 			cd, err := core.NewCombinedDetector(profiles[id])
 			if err != nil {
 				return err
 			}
-			region, movement, err := cd.FirstBreaches(src)
+			ws[i] = gatedWatch{gate: trace.NewGate(0, phase), watch: cd.Watch()}
+		}
+		src, err := l.world.Trace(id, interval)
+		if err != nil {
+			return err
+		}
+		// A watch behind a closed gate has been fed nothing, so it cannot
+		// be done: the replay runs until every gate has opened, and the
+		// withheld counts are final when it stops.
+		for done := false; !done; {
+			pt, err := src.Next()
+			if errors.Is(err, io.EOF) {
+				break
+			}
 			if err != nil {
 				return err
 			}
-			for i, det := range [...]core.Detection{region, movement} {
-				o := DetectionOutcome{User: id, Pattern: patterns[i], Fraction: 1}
+			done = true
+			for i := range ws {
+				w := &ws[i]
+				switch {
+				case w.watch.Done():
+					continue
+				case !w.gate.Keep(pt):
+					w.withheld++
+				default:
+					if err := w.watch.Feed(pt); err != nil {
+						return err
+					}
+				}
+				done = done && w.watch.Done()
+			}
+		}
+		for i := range ws {
+			dets, err := ws[i].watch.Finish()
+			if err != nil {
+				return err
+			}
+			// The collectable stream is what the gate released, the right
+			// denominator for "fraction of data consumed". A gate of
+			// interval 0 withholds only the fixes before its phase, and
+			// World traces are time-ordered, so that is the full count
+			// less the fixes withheld in this replay.
+			denom := totals[id] - ws[i].withheld
+			for j, det := range dets {
+				o := DetectionOutcome{User: id, Pattern: patterns[j], Fraction: 1, PointsFed: det.PointsFed, AtEnd: det.AtEnd}
 				if det.Breached && denom > 0 {
 					o.Detected = true
 					o.Fraction = min(float64(det.PointsFed)/float64(denom), 1)
 				}
-				out[id*len(patterns)+i] = o
+				out[i][id*len(patterns)+j] = o
 			}
-			return nil
-		})
-		return out, err
+		}
+		return nil
 	})
+	return out, err
 }
 
 // Render prints the Figure 4 panels.

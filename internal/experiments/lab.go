@@ -12,7 +12,10 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -213,26 +216,41 @@ func newCached[K comparable, V any](r *obs.Registry, name string) *cached[K, V] 
 // get returns the value stored for key, building and storing it on
 // first use.
 func (c *cached[K, V]) get(key K, build func() (V, error)) (V, error) {
-	c.mu.Lock()
-	v, ok := c.m[key]
-	c.mu.Unlock()
-	if ok {
-		c.hits.Inc()
+	if v, ok := c.lookup(key); ok {
 		return v, nil
 	}
-	c.misses.Inc()
 	v, err := build()
 	if err != nil {
 		var zero V
 		return zero, err
 	}
+	return c.put(key, v), nil
+}
+
+// lookup returns the value stored for key, counting a hit or a miss.
+// A caller that misses builds the value and stores it with put.
+func (c *cached[K, V]) lookup(key K) (V, bool) {
+	c.mu.Lock()
+	v, ok := c.m[key]
+	c.mu.Unlock()
+	if ok {
+		c.hits.Inc()
+	} else {
+		c.misses.Inc()
+	}
+	return v, ok
+}
+
+// put stores v for key unless a value is stored already, and returns
+// the stored value: the first result stored wins.
+func (c *cached[K, V]) put(key K, v V) V {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if prev, ok := c.m[key]; ok {
-		return prev, nil
+		return prev
 	}
 	c.m[key] = v
-	return v, nil
+	return v
 }
 
 // window is the stretch of each user's trace a cached profile covers.
@@ -261,54 +279,119 @@ func (l *Lab) Profiles() ([]*core.Profile, error) {
 // Interval 0 is the ground truth Profiles returns; the other sweep
 // points are what Figures 3–4 repeatedly consume.
 func (l *Lab) ProfilesAt(interval time.Duration) ([]*core.Profile, error) {
-	return l.profilesAt(interval, fullPeriod)
+	ps, err := l.profilesAt(interval, fullPeriod)
+	return ps[fullPeriod], err
 }
 
 // HistoricalProfiles returns the adversary's training-window profiles.
 func (l *Lab) HistoricalProfiles() ([]*core.Profile, error) {
-	return l.profilesAt(0, beforeSplit)
+	ps, err := l.profilesAt(0, beforeSplit)
+	return ps[beforeSplit], err
 }
 
 // collectedAt returns the per-user profiles built from what an app
 // collecting at the given interval obtains after the history split —
 // the adversary's observation in Figure 5.
 func (l *Lab) collectedAt(interval time.Duration) ([]*core.Profile, error) {
-	return l.profilesAt(interval, afterSplit)
+	ps, err := l.profilesAt(interval, afterSplit)
+	return ps[afterSplit], err
 }
 
-// profilesAt returns every user's profile over window w of the trace
-// sampled at interval, cached per window and interval.
-func (l *Lab) profilesAt(interval time.Duration, w window) ([]*core.Profile, error) {
-	return l.profiles[w].get(interval, func() ([]*core.Profile, error) {
-		sp := l.root.Child(windowSpans[w])
-		sp.SetAttr("interval", intervalLabel(interval))
-		defer sp.End()
-
-		var from, to time.Time
-		switch w {
-		case beforeSplit:
-			to = l.splitCut()
-		case afterSplit:
-			from = l.splitCut()
+// profilesAt returns every user's profiles over each of windows of the
+// trace sampled at interval, indexed by window, cached per window and
+// interval. The windows not cached yet are built together, from one
+// replay of each user's trace.
+func (l *Lab) profilesAt(interval time.Duration, windows ...window) ([len(windowCaches)][]*core.Profile, error) {
+	var out [len(windowCaches)][]*core.Profile
+	var missing []window
+	for _, w := range windows {
+		if ps, ok := l.profiles[w].lookup(interval); ok {
+			out[w] = ps
+		} else {
+			missing = append(missing, w)
 		}
-		profiles := make([]*core.Profile, l.world.NumUsers())
-		err := l.forEachUser(func(id int) error {
-			src, err := l.world.Trace(id, interval)
-			if err != nil {
-				return err
-			}
-			if w != fullPeriod {
-				src = trace.NewTimeWindow(src, from, to)
-			}
-			p, err := core.BuildProfile(src, l.cfg.Mobility.CityCenter, l.cfg.Core)
+	}
+	if len(missing) == 0 {
+		return out, nil
+	}
+	built, err := l.buildWindows(interval, missing)
+	if err != nil {
+		return out, err
+	}
+	for i, w := range missing {
+		out[w] = l.profiles[w].put(interval, built[i])
+	}
+	return out, nil
+}
+
+// buildWindows builds every user's profile over each of windows from
+// one replay of the user's trace at interval. World traces are
+// time-ordered, so each window's builder sees exactly the fixes
+// trace.NewTimeWindow would give it, in order, and is finalized as
+// core.BuildProfile finalizes. A replay that builds nothing past the
+// cut stops at the first fix past it, as TimeWindow does.
+func (l *Lab) buildWindows(interval time.Duration, windows []window) ([][]*core.Profile, error) {
+	// One replay builds every window asked for; its span carries the
+	// first one's stage name.
+	w := windows[0]
+	sp := l.root.Child(windowSpans[w])
+	sp.SetAttr("interval", intervalLabel(interval))
+	if len(windows) > 1 {
+		names := make([]string, len(windows))
+		for i, w := range windows {
+			names[i] = windowSpans[w]
+		}
+		sp.SetAttr("windows", strings.Join(names, ","))
+	}
+	defer sp.End()
+
+	cut := l.splitCut()
+	stopAtCut := !slices.ContainsFunc(windows, func(w window) bool { return w != beforeSplit })
+	out := make([][]*core.Profile, len(windows))
+	for i := range out {
+		out[i] = make([]*core.Profile, l.world.NumUsers())
+	}
+	err := l.forEachUser(func(id int) error {
+		builders := make([]*core.ProfileBuilder, len(windows))
+		for i := range builders {
+			b, err := core.NewProfileBuilder(l.cfg.Mobility.CityCenter, l.cfg.Core)
 			if err != nil {
 				return fmt.Errorf("user %d: %w", id, err)
 			}
-			profiles[id] = p
-			return nil
-		})
-		return profiles, err
+			builders[i] = b
+		}
+		src, err := l.world.Trace(id, interval)
+		if err != nil {
+			return err
+		}
+		for {
+			pt, err := src.Next()
+			if errors.Is(err, io.EOF) {
+				break
+			}
+			if err != nil {
+				return fmt.Errorf("user %d: %w", id, err)
+			}
+			past := !pt.T.Before(cut)
+			if past && stopAtCut {
+				break
+			}
+			for i, w := range windows {
+				if (w == beforeSplit && past) || (w == afterSplit && !past) {
+					continue
+				}
+				if err := builders[i].Feed(pt); err != nil {
+					return fmt.Errorf("user %d: %w", id, err)
+				}
+			}
+		}
+		for i, b := range builders {
+			out[i][id] = b.Profile()
+			b.Release()
+		}
+		return nil
 	})
+	return out, err
 }
 
 // pointTotals returns, per user, the number of fixes an app collecting

@@ -9,6 +9,7 @@ import (
 	"io"
 	"runtime"
 	"testing"
+	"time"
 
 	"locwatch/internal/geo"
 	"locwatch/internal/obs"
@@ -191,15 +192,16 @@ func TestLabPoolGaugeBalance(t *testing.T) {
 	}
 }
 
-// onePassFixes returns the fixes of one native-rate replay of every
-// user of tinyConfig's world, counted on a lab without metrics.
-func onePassFixes(t *testing.T) uint64 {
+// onePassFixes returns the fixes of one replay of every user of
+// tinyConfig's world at the given interval (0 for native rate),
+// counted on a lab without metrics.
+func onePassFixes(t *testing.T, interval time.Duration) uint64 {
 	t.Helper()
 	plain := mustLab(t, tinyConfig())
 	defer plain.Close()
 	var n uint64
 	for u := range plain.World().NumUsers() {
-		src, err := plain.World().Trace(u, 0)
+		src, err := plain.World().Trace(u, interval)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,22 +217,41 @@ func onePassFixes(t *testing.T) uint64 {
 	return n
 }
 
+// sweepPassFixes returns the fixes of one native-rate pass plus one
+// pass at each nonzero interval of tinyConfig's sweep.
+func sweepPassFixes(t *testing.T) uint64 {
+	t.Helper()
+	var n uint64
+	for _, iv := range tinyConfig().Intervals {
+		n += onePassFixes(t, iv)
+	}
+	return n
+}
+
+// instrumentedLab returns a tinyConfig lab reporting to a fresh
+// registry, and that registry's mobility fix counter.
+func instrumentedLab(t *testing.T) (*Lab, *obs.Registry, *obs.Counter) {
+	t.Helper()
+	cfg := tinyConfig()
+	reg := obs.NewRegistry()
+	cfg.Obs = reg
+	l := mustLab(t, cfg)
+	t.Cleanup(l.Close)
+	return l, reg, reg.Counter("locwatch_mobility_fixes_total")
+}
+
 // TestFigure2ReplaysOnce pins Figure2 to one native-rate pass over
 // every user's trace: the lab's mobility fix counter must equal the
 // fixes of one replay, counted on a second lab without metrics. Fix
 // counts are deterministic, so a driver that goes back to one replay
 // per parameter set fails here at six times the count.
 func TestFigure2ReplaysOnce(t *testing.T) {
-	cfg := tinyConfig()
-	reg := obs.NewRegistry()
-	cfg.Obs = reg
-	l := mustLab(t, cfg)
-	defer l.Close()
+	l, _, fixes := instrumentedLab(t)
 	if _, err := Figure2(l); err != nil {
 		t.Fatal(err)
 	}
-	onePass := onePassFixes(t)
-	if got := reg.Counter("locwatch_mobility_fixes_total").Value(); got != onePass {
+	onePass := onePassFixes(t, 0)
+	if got := fixes.Value(); got != onePass {
 		t.Errorf("Figure2 generated %d fixes, one native pass is %d (%.2f passes)",
 			got, onePass, float64(got)/float64(onePass))
 	}
@@ -241,22 +262,91 @@ func TestFigure2ReplaysOnce(t *testing.T) {
 // profiles it reads: a driver that replays once per defense fails here
 // at ten times the count.
 func TestAblationMitigationReplaysOnce(t *testing.T) {
-	cfg := tinyConfig()
-	reg := obs.NewRegistry()
-	cfg.Obs = reg
-	l := mustLab(t, cfg)
-	defer l.Close()
+	l, _, fixes := instrumentedLab(t)
 	if _, err := l.Profiles(); err != nil {
 		t.Fatal(err)
 	}
-	fixes := reg.Counter("locwatch_mobility_fixes_total")
 	before := fixes.Value()
 	if _, err := AblationMitigation(l); err != nil {
 		t.Fatal(err)
 	}
-	onePass := onePassFixes(t)
+	onePass := onePassFixes(t, 0)
 	if got := fixes.Value() - before; got != onePass {
 		t.Errorf("AblationMitigation generated %d fixes, one native pass is %d (%.2f passes)",
 			got, onePass, float64(got)/float64(onePass))
+	}
+}
+
+// TestFigure4NativeReplayOnce pins Figure 4 to one replay per swept
+// interval: 4(a) and 4(b) share one native-rate replay, and 4(b)'s
+// denominators come from that replay, not from a pass of their own.
+// With the ground-truth profiles and every point total built first,
+// Figure4 may add at most one native pass plus one pass per nonzero
+// swept interval; its replays stop once every pattern has breached, so
+// the count is a bound, not an equality.
+func TestFigure4NativeReplayOnce(t *testing.T) {
+	l, _, fixes := instrumentedLab(t)
+	if _, err := l.Profiles(); err != nil {
+		t.Fatal(err)
+	}
+	for _, iv := range l.cfg.Intervals {
+		if _, err := l.pointTotals(iv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := fixes.Value()
+	if _, err := Figure4(l); err != nil {
+		t.Fatal(err)
+	}
+	bound := sweepPassFixes(t)
+	if got := fixes.Value() - before; got > bound {
+		t.Errorf("Figure4 generated %d fixes, one pass per swept interval is %d (%.2f×)",
+			got, bound, float64(got)/float64(bound))
+	}
+}
+
+// TestFigure5ReplaysNativeOnce pins Figure 5 to one replay per swept
+// interval on a fresh lab: the adversary's history and the native-rate
+// collection split one native replay at the cut, and each nonzero
+// interval's collection is one full pass. Asked for alone, the history
+// stops generating at the cut.
+func TestFigure5ReplaysNativeOnce(t *testing.T) {
+	l, _, fixes := instrumentedLab(t)
+	if _, err := Figure5(l); err != nil {
+		t.Fatal(err)
+	}
+	want := sweepPassFixes(t)
+	if got := fixes.Value(); got != want {
+		t.Errorf("Figure5 generated %d fixes, one pass per swept interval is %d (%.2f×)",
+			got, want, float64(got)/float64(want))
+	}
+
+	h, _, histFixes := instrumentedLab(t)
+	if _, err := h.HistoricalProfiles(); err != nil {
+		t.Fatal(err)
+	}
+	if got, full := histFixes.Value(), onePassFixes(t, 0); got >= full {
+		t.Errorf("HistoricalProfiles alone generated %d fixes, a full native pass is %d", got, full)
+	}
+}
+
+// TestCombinedReplaysNothing pins Combined to a fold over Figure 4's
+// memoized sweeps: after Figure4 it generates no fix and builds no
+// detection sweep.
+func TestCombinedReplaysNothing(t *testing.T) {
+	l, reg, fixes := instrumentedLab(t)
+	if _, err := Figure4(l); err != nil {
+		t.Fatal(err)
+	}
+	misses := reg.Counter("locwatch_lab_detect_cache_misses_total")
+	fixesBefore, missesBefore := fixes.Value(), misses.Value()
+	if _, err := Combined(l); err != nil {
+		t.Fatal(err)
+	}
+	if got := fixes.Value() - fixesBefore; got != 0 {
+		t.Errorf("Combined generated %d fixes after Figure4", got)
+	}
+	if got := misses.Value() - missesBefore; got != 0 {
+		t.Errorf("Combined missed the detection cache %d times after Figure4", got)
 	}
 }

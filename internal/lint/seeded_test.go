@@ -168,11 +168,11 @@ var seededDefects = []seededDefect{
 	},
 	{
 		file: "internal/experiments/lab.go",
-		old:  "		sp := l.root.Child(windowSpans[w])",
-		new: `		sp := l.root.Child(windowSpans[w])
-		if u, err := l.world.User(0); err == nil {
-			sp.SetAttr("home", u.Home.Pos.String())
-		}`,
+		old:  "	sp := l.root.Child(windowSpans[w])",
+		new: `	sp := l.root.Child(windowSpans[w])
+	if u, err := l.world.User(0); err == nil {
+		sp.SetAttr("home", u.Home.Pos.String())
+	}`,
 		pkgs:     []string{"./internal/experiments"},
 		caughtBy: "TestObsDeterminism",
 	},
@@ -242,6 +242,22 @@ var providerNames = [...]string{"gps", "network", "passive", "fused", "wifi"}`,
 		new:  "	if ref := refs.byUser[userID]; ref == nil {",
 		pkgs: []string{"./internal/stream"},
 		want: []string{"nilfacade"},
+	},
+
+	// A helper that returns nil on one path: Peek before the first fix.
+	// The streaming shards score a user's peeked profile, so a nil one
+	// is dereferenced there; no analyzer follows the nil out of Peek.
+	{
+		file: "internal/core/profile.go",
+		old: `func (b *ProfileBuilder) Peek() *Profile {
+	b.profile.flushRegionRun()`,
+		new: `func (b *ProfileBuilder) Peek() *Profile {
+	if b.profile.points == 0 {
+		return nil
+	}
+	b.profile.flushRegionRun()`,
+		pkgs:     []string{"./internal/core", "./internal/stream"},
+		caughtBy: "TestPeekBeforeFirstFix",
 	},
 
 	// Shutdown returns without joining the serve goroutine and drops its

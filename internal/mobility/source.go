@@ -356,8 +356,9 @@ func gaussAbs(rng *rand.Rand, sigma float64) float64 {
 	return v
 }
 
-// TraceFromDay returns a source starting at the given day offset —
-// used by the Figure 4(b) random-start experiments.
+// TraceFromDay returns the user's trace at the given interval from
+// the start of day fromDay of the period on: an observer that begins
+// collecting on a later day.
 func (w *World) TraceFromDay(userID int, interval time.Duration, fromDay int) (trace.Source, error) {
 	if fromDay < 0 || fromDay >= w.cfg.Days {
 		return nil, fmt.Errorf("mobility: fromDay %d out of range [0, %d)", fromDay, w.cfg.Days)

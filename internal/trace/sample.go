@@ -20,8 +20,9 @@ type Sampler struct {
 // NewSampler returns a Sampler releasing at most one point per
 // interval. A non-positive interval passes every point through
 // (continuous access). phase delays the first access after the start of
-// the stream, modeling an app that begins observing mid-trace (used by
-// the Figure 4(b) random-start experiment).
+// the stream, modeling an app that begins observing mid-trace (the
+// Figure 4(b) random-start experiment makes this decision through
+// NewGate).
 func NewSampler(src Source, interval, phase time.Duration) *Sampler {
 	return &Sampler{src: src, gate: NewGate(interval, phase)}
 }
