@@ -55,11 +55,12 @@ cover:
 # Ten-second fuzz passes over the four untrusted-input boundaries
 # (market page scraping, dumpsys battery output, PLT trace files and
 # locwatchd's ingest endpoint, whose responses and log must also carry
-# no fix the body sent) and the three exactness oracles: the geo batch
-# kernels against their scalar forms, the merge-join histogram
-# comparison against the union-map alignment it replaced, and zone
-# suppression's latitude-gap skip against the haversine check it
-# avoids. FuzzIngest starts an engine per input, so it tries one
+# no fix the body sent) and the four exactness oracles: the geo batch
+# kernels against their scalar forms, the PoI radius test's cosine
+# bracket against the LocalDistance comparison it avoids, the
+# merge-join histogram comparison against the union-map alignment it
+# replaced, and zone suppression's latitude-gap skip against the
+# haversine check it avoids. FuzzIngest starts an engine per input, so it tries one
 # shrink per new input: with the default minimization budget, a
 # 10-second pass spent most of its time shrinking inputs.
 fuzz:
@@ -68,6 +69,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRead -fuzztime $(FUZZTIME) ./internal/trace/plt
 	$(GO) test -run '^$$' -fuzz FuzzIngest -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/stream
 	$(GO) test -run '^$$' -fuzz FuzzBatchKernelsBitIdentical -fuzztime $(FUZZTIME) ./internal/geo
+	$(GO) test -run '^$$' -fuzz FuzzLocalThresholdExact -fuzztime $(FUZZTIME) ./internal/geo
 	$(GO) test -run '^$$' -fuzz FuzzCompareBitIdentical -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run '^$$' -fuzz FuzzSuppressExact -fuzztime $(FUZZTIME) ./internal/mitigation
 

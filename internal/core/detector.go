@@ -89,6 +89,9 @@ func (d *Detector) markChecked() {
 // error.
 func (d *Detector) Check() (Detection, error) {
 	d.markChecked()
+	// A watch drops its builder once every detector has breached, so
+	// the point counts are flushed at every check.
+	d.builder.flushCounts()
 	obs := d.builder.profile
 	det := Detection{PointsFed: obs.NumPoints(), VisitsSeen: obs.NumVisits()}
 	g, err := d.reference.Compare(obs, d.pattern)

@@ -14,7 +14,10 @@ import "locwatch/internal/obs"
 // enabling them cannot change any emitted result.
 type Metrics struct {
 	// Points counts fixes consumed by profile builders (ground-truth
-	// builds, collected-profile builds and detector feeds alike).
+	// builds, collected-profile builds and detector feeds alike). A
+	// builder adds its count once per batch of fixes and at Profile,
+	// Peek, Park, Release and Detector.Check (obs.Tally), so the
+	// counter is exact once feeding has stopped.
 	Points *obs.Counter
 	// Visits counts PoI visits emitted by the extractor into profiles.
 	Visits *obs.Counter

@@ -9,6 +9,7 @@ import (
 
 	"locwatch/internal/geo"
 	"locwatch/internal/geoidx"
+	"locwatch/internal/obs"
 	"locwatch/internal/poi"
 	"locwatch/internal/stats"
 	"locwatch/internal/trace"
@@ -81,6 +82,7 @@ type Profile struct {
 type ProfileBuilder struct {
 	profile   *Profile
 	extractor *poi.Extractor
+	points    obs.Tally // Params.Obs.Points
 }
 
 // NewProfileBuilder returns a builder anchored at the given point (any
@@ -107,7 +109,7 @@ func NewProfileBuilder(anchor geo.LatLon, params Params) (*ProfileBuilder, error
 		regionHist: stats.NewHistogram(),
 		moveHist:   stats.NewHistogram(),
 	}
-	b := &ProfileBuilder{profile: prof}
+	b := &ProfileBuilder{profile: prof, points: obs.NewTally(p.Obs.Points)}
 	b.extractor, err = poi.NewExtractor(p.Extractor, b.observe)
 	if err != nil {
 		return nil, err
@@ -141,8 +143,17 @@ func (b *ProfileBuilder) Feed(pt trace.Point) error {
 		p.sojourns++
 	}
 	p.points++
-	p.params.Obs.Points.Inc()
+	b.points.Inc()
 	return nil
+}
+
+// flushCounts adds the fixes fed since the last flush to the point
+// counters of the builder and its extractor, which Feed updates only
+// once per batch of fixes. Every method at which feeding can stop calls
+// it: Profile, Peek, Park, Release and Detector.Check.
+func (b *ProfileBuilder) flushCounts() {
+	b.extractor.FlushCounts()
+	b.points.Flush()
 }
 
 // sojournDebounce is the run length at which a region entry counts as
@@ -190,6 +201,7 @@ func moveKey(from, to string) string { return from + "→" + to }
 // is needed.
 func (b *ProfileBuilder) Profile() *Profile {
 	b.extractor.Flush()
+	b.flushCounts()
 	b.profile.flushRegionRun()
 	return b.profile
 }
@@ -205,6 +217,7 @@ func (b *ProfileBuilder) Profile() *Profile {
 // only the extractor flush is destructive.)
 func (b *ProfileBuilder) Peek() *Profile {
 	b.profile.flushRegionRun()
+	b.flushCounts()
 	return b.profile
 }
 
@@ -214,6 +227,7 @@ func (b *ProfileBuilder) Peek() *Profile {
 // without changing any future extraction result. See poi.Extractor.Park.
 func (b *ProfileBuilder) Park() {
 	b.extractor.Park()
+	b.flushCounts()
 }
 
 // Footprint estimates the bytes retained by the builder's extraction
@@ -229,6 +243,7 @@ func (b *ProfileBuilder) Footprint() int {
 // automatically — its builder never escapes.
 func (b *ProfileBuilder) Release() {
 	b.extractor.Release()
+	b.flushCounts()
 }
 
 // BuildProfile drains src into a new profile.

@@ -125,6 +125,21 @@ func TestObsDeterminism(t *testing.T) {
 			t.Errorf("counter %s still zero after an instrumented run", name)
 		}
 	}
+	// Builders and extractors add their point counts once per batch of
+	// fixes; the totals must still be exact once the run is done. These
+	// are the totals of the same run with one atomic add per fix.
+	for name, want := range map[string]uint64{
+		"locwatch_mobility_fixes_total": 14358313,
+		"locwatch_poi_points_total":     8989624,
+		"locwatch_poi_stays_total":      4720,
+		"locwatch_core_points_total":    8989624,
+		"locwatch_core_visits_total":    4720,
+		"locwatch_core_breaches_total":  100,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("counter %s = %d after the run, want %d", name, got, want)
+		}
+	}
 	if n := reg.Histogram("locwatch_lab_pool_task_seconds", obs.DefLatencyBuckets).Count(); n == 0 {
 		t.Error("task latency histogram empty after an instrumented run")
 	}

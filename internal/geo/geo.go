@@ -65,11 +65,14 @@ func Distance(p, q LatLon) float64 {
 
 // LocalDistance returns the distance in meters between two nearby
 // points using the equirectangular approximation at their mean
-// latitude. For the sub-kilometer separations hot paths compare
-// against meter-scale thresholds (the PoI extractors), it agrees with
-// Distance to well under a centimeter at city latitudes — but the two
-// are not interchangeable bit for bit, and LocalDistance degrades at
-// continental separations where Distance stays exact.
+// latitude. For the sub-kilometer separations the PoI extractors
+// compare with their radius, it agrees with Distance to well under a
+// centimeter at city latitudes — but the two are not interchangeable
+// bit for bit, and LocalDistance degrades at continental separations
+// where Distance stays exact. A loop that only compares it with one
+// radius uses RadiusTest, which returns the same comparison and
+// computes LocalDistance only when the answer is within a relative
+// 1e-9 of the radius.
 func LocalDistance(p, q LatLon) float64 {
 	mean := (p.Lat + q.Lat) / 2 * degToRad
 	dLat := (q.Lat - p.Lat) * degToRad

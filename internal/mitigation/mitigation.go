@@ -105,10 +105,6 @@ type Suppress struct {
 	cut     float64 // latitude gap in meters beyond which a center is skipped
 }
 
-// metersPerDegree turns a latitude gap in degrees into EarthRadius·|Δφ|
-// in meters.
-const metersPerDegree = geo.EarthRadius * math.Pi / 180
-
 // minCut is the smallest cut protected uses its latitude bound at.
 // Nearer than this the haversine term sin²(Δφ/2) can fall into the
 // subnormal range, where Distance loses the relative precision the
@@ -147,7 +143,7 @@ func (s *Suppress) Apply(p trace.Point) (trace.Point, bool) {
 func (s *Suppress) protected(pos geo.LatLon) bool {
 	bounded := math.Abs(pos.Lat) <= 90
 	for _, c := range s.centers {
-		if bounded && math.Abs(c.Lat) <= 90 && math.Abs(c.Lat-pos.Lat)*metersPerDegree > s.cut {
+		if bounded && math.Abs(c.Lat) <= 90 && math.Abs(c.Lat-pos.Lat)*geo.MetersPerDegree > s.cut {
 			continue
 		}
 		if geo.Distance(pos, c) <= s.radius {

@@ -242,28 +242,6 @@ func countUserPoints(t *testing.T, w *World, id int) int {
 	return n
 }
 
-func TestTraceFromDay(t *testing.T) {
-	w := mustWorld(t, testConfig())
-	src, err := w.TraceFromDay(0, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cut := w.Config().Start.AddDate(0, 0, 2)
-	p, err := src.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.T.Before(cut) {
-		t.Fatalf("first point %v before day-2 cut %v", p.T, cut)
-	}
-	if _, err := w.TraceFromDay(0, 0, -1); err == nil {
-		t.Fatal("negative fromDay accepted")
-	}
-	if _, err := w.TraceFromDay(0, 0, 99); err == nil {
-		t.Fatal("out-of-range fromDay accepted")
-	}
-}
-
 func TestUserAccessors(t *testing.T) {
 	w := mustWorld(t, testConfig())
 	if _, err := w.User(-1); err == nil {

@@ -1,7 +1,6 @@
 package mobility
 
 import (
-	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -354,19 +353,4 @@ func gaussAbs(rng *rand.Rand, sigma float64) float64 {
 		v = -v
 	}
 	return v
-}
-
-// TraceFromDay returns the user's trace at the given interval from
-// the start of day fromDay of the period on: an observer that begins
-// collecting on a later day.
-func (w *World) TraceFromDay(userID int, interval time.Duration, fromDay int) (trace.Source, error) {
-	if fromDay < 0 || fromDay >= w.cfg.Days {
-		return nil, fmt.Errorf("mobility: fromDay %d out of range [0, %d)", fromDay, w.cfg.Days)
-	}
-	src, err := w.Trace(userID, interval)
-	if err != nil {
-		return nil, err
-	}
-	cut := w.cfg.Start.AddDate(0, 0, fromDay)
-	return trace.NewTimeWindow(src, cut, time.Time{}), nil
 }

@@ -54,6 +54,41 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
+// tallyBatch is how many counts a Tally holds before it adds them to
+// its Counter.
+const tallyBatch = 1024
+
+// Tally counts per-event increments of a shared Counter locally, for a
+// hot loop owned by one goroutine: an atomic add per event on a
+// counter every worker shares makes the cores contend for its cache
+// line. Inc adds to the Counter once per tallyBatch counts, and Flush
+// adds the remainder, so the owner calls Flush wherever counting can
+// stop; until then the Counter lags by less than tallyBatch. A Tally
+// of a nil Counter counts into nothing.
+type Tally struct {
+	c *Counter
+	n uint64
+}
+
+// NewTally returns a tally that adds to c.
+func NewTally(c *Counter) Tally { return Tally{c: c} }
+
+// Inc counts one.
+func (t *Tally) Inc() {
+	t.n++
+	if t.n == tallyBatch {
+		t.Flush()
+	}
+}
+
+// Flush adds the counts held to the Counter.
+func (t *Tally) Flush() {
+	if t.n > 0 {
+		t.c.Add(t.n)
+		t.n = 0
+	}
+}
+
 // Gauge is an atomic instantaneous value (queue depths, pool sizes).
 // The zero value is ready to use; a nil *Gauge no-ops.
 type Gauge struct {

@@ -16,6 +16,32 @@ func TestCounter(t *testing.T) {
 	}
 }
 
+func TestTallyAddsInBatches(t *testing.T) {
+	var c Counter
+	tl := NewTally(&c)
+	for i := 0; i < tallyBatch-1; i++ {
+		tl.Inc()
+	}
+	if got := c.Value(); got != 0 {
+		t.Fatalf("counter = %d before a full batch, want 0", got)
+	}
+	tl.Inc()
+	if got := c.Value(); got != tallyBatch {
+		t.Fatalf("counter = %d after a full batch, want %d", got, tallyBatch)
+	}
+	for i := 0; i < 5; i++ {
+		tl.Inc()
+	}
+	tl.Flush()
+	tl.Flush()
+	if got, want := c.Value(), uint64(tallyBatch+5); got != want {
+		t.Fatalf("counter = %d after Flush, want %d", got, want)
+	}
+	nilTally := NewTally(nil)
+	nilTally.Inc()
+	nilTally.Flush()
+}
+
 func TestNilInstrumentsNoOp(t *testing.T) {
 	var c *Counter
 	c.Inc()

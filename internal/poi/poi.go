@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"locwatch/internal/geo"
+	"locwatch/internal/obs"
 	"locwatch/internal/trace"
 )
 
@@ -77,7 +78,9 @@ func (p Params) withDefaults() (Params, error) {
 	if p.MaxGap == 0 {
 		p.MaxGap = 12 * time.Hour
 	}
-	if p.Radius <= 0 {
+	// +Inf is valid: a trace is one stay until a gap breaks it. NaN,
+	// which every radius test reads as false, is rejected.
+	if !(p.Radius > 0) {
 		return p, fmt.Errorf("poi: radius must be positive, got %v", p.Radius)
 	}
 	if p.MinVisit <= 0 {
@@ -193,6 +196,7 @@ func (w *window) halves() (older, newer geo.LatLon, ok bool) {
 type Extractor struct {
 	params Params
 	emit   func(StayPoint)
+	radius geo.RadiusTest // params.Radius
 
 	inPoI    bool
 	entry    window // buf_Entry while searching
@@ -205,6 +209,8 @@ type Extractor struct {
 	maxGap   int64 // params.MaxGap in nanos
 	last     int64 // UnixNano of the previous point
 	anyPoint bool
+
+	points obs.Tally // params.Obs.Points
 }
 
 // NewExtractor returns an extractor that calls emit for every PoI
@@ -217,7 +223,10 @@ func NewExtractor(params Params, emit func(StayPoint)) (*Extractor, error) {
 	if emit == nil {
 		return nil, errors.New("poi: nil emit callback")
 	}
-	e := &Extractor{params: p, emit: emit, maxGap: int64(p.MaxGap)}
+	e := &Extractor{
+		params: p, emit: emit, radius: geo.NewRadiusTest(p.Radius),
+		maxGap: int64(p.MaxGap), points: obs.NewTally(p.Obs.Points),
+	}
 	e.entry.span = int64(p.Window)
 	e.exit.span = int64(p.Window)
 	e.entry.borrow()
@@ -247,7 +256,7 @@ func (e *Extractor) Feed(p trace.Point) error {
 	}
 	e.last = tn
 	e.anyPoint = true
-	e.params.Obs.Points.Inc()
+	e.points.Inc()
 
 	if e.inPoI {
 		e.feedInside(tn, p.Pos)
@@ -263,7 +272,7 @@ func (e *Extractor) feedSearching(tn int64, pos geo.LatLon) {
 	if !ok {
 		return
 	}
-	if geo.LocalDistance(older, newer) >= e.params.Radius {
+	if e.radius.AtLeast(older, newer) {
 		return
 	}
 	// The two half-window centroids coincide: the user has entered a
@@ -287,7 +296,7 @@ func (e *Extractor) feedInside(tn int64, pos geo.LatLon) {
 	if e.exit.len() < 2 {
 		return
 	}
-	if geo.LocalDistance(e.poi.Value(), e.exit.centroid.Value()) <= e.params.Radius {
+	if e.radius.AtMost(e.poi.Value(), e.exit.centroid.Value()) {
 		return
 	}
 	// The exit buffer has drifted away from the stay centroid: the user
@@ -340,7 +349,15 @@ func (e *Extractor) Flush() {
 	e.entry.reset()
 	e.exit.reset()
 	e.anyPoint = false
+	e.points.Flush()
 }
+
+// FlushCounts adds the fixes fed since the last flush to
+// Params.Obs.Points, which Feed updates only once per batch of fixes.
+// Flush, Park and Release flush too; a caller that stops feeding
+// without one of them, or reads the counter mid-stream, calls
+// FlushCounts first. It changes no extraction state.
+func (e *Extractor) FlushCounts() { e.points.Flush() }
 
 // windowScratch is the pooled backing storage of one window. Sweeps
 // build thousands of short-lived extractors (one per user × interval ×
@@ -424,6 +441,7 @@ func (w *window) footprint() int {
 func (e *Extractor) Park() {
 	e.entry.park()
 	e.exit.park()
+	e.points.Flush()
 }
 
 // Footprint estimates the bytes retained by the extractor's window
@@ -441,6 +459,7 @@ func (e *Extractor) Footprint() int {
 func (e *Extractor) Release() {
 	e.entry.release()
 	e.exit.release()
+	e.points.Flush()
 }
 
 // Extract runs the extractor over an entire source and returns the

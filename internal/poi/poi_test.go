@@ -1,6 +1,7 @@
 package poi
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -74,8 +75,20 @@ func placeAt(bearing, dist float64) geo.LatLon {
 
 func TestExtractorParamsValidation(t *testing.T) {
 	emit := func(StayPoint) {}
-	if _, err := NewExtractor(Params{Radius: 0, MinVisit: time.Minute}, emit); err == nil {
-		t.Error("zero radius accepted")
+	for _, r := range []float64{0, -1, math.NaN(), math.Inf(-1)} {
+		if _, err := NewExtractor(Params{Radius: r, MinVisit: time.Minute}, emit); err == nil {
+			t.Errorf("radius %v accepted", r)
+		}
+		if _, err := NewStayPointExtractor(Params{Radius: r, MinVisit: time.Minute}, emit); err == nil {
+			t.Errorf("stay-point extractor: radius %v accepted", r)
+		}
+	}
+	// An infinite radius is one stay per trace, not an error.
+	if _, err := NewExtractor(Params{Radius: math.Inf(1), MinVisit: time.Minute}, emit); err != nil {
+		t.Errorf("radius +Inf rejected: %v", err)
+	}
+	if _, err := NewStayPointExtractor(Params{Radius: math.Inf(1), MinVisit: time.Minute}, emit); err != nil {
+		t.Errorf("stay-point extractor: radius +Inf rejected: %v", err)
 	}
 	if _, err := NewExtractor(Params{Radius: 50, MinVisit: 0}, emit); err == nil {
 		t.Error("zero min visit accepted")

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"locwatch/internal/geo"
+	"locwatch/internal/obs"
 	"locwatch/internal/trace"
 )
 
@@ -19,11 +20,13 @@ import (
 type StayPointExtractor struct {
 	params Params
 	emit   func(StayPoint)
+	radius geo.RadiusTest // params.Radius
 
 	group    []trace.Point
 	centroid geo.RunningCentroid
 	last     time.Time
 	any      bool
+	points   obs.Tally // params.Obs.Points
 }
 
 // NewStayPointExtractor returns a streaming baseline extractor.
@@ -35,7 +38,10 @@ func NewStayPointExtractor(params Params, emit func(StayPoint)) (*StayPointExtra
 	if emit == nil {
 		return nil, errors.New("poi: nil emit callback")
 	}
-	return &StayPointExtractor{params: p, emit: emit}, nil
+	return &StayPointExtractor{
+		params: p, emit: emit, radius: geo.NewRadiusTest(p.Radius),
+		points: obs.NewTally(p.Obs.Points),
+	}, nil
 }
 
 // Feed processes the next point in time order.
@@ -48,14 +54,14 @@ func (e *StayPointExtractor) Feed(p trace.Point) error {
 	}
 	e.last = p.T
 	e.any = true
-	e.params.Obs.Points.Inc()
+	e.points.Inc()
 
 	if len(e.group) == 0 {
 		e.push(p)
 		return nil
 	}
 	// Anchor is the first fix of the group, per the original algorithm.
-	if geo.LocalDistance(e.group[0].Pos, p.Pos) <= e.params.Radius {
+	if e.radius.AtMost(e.group[0].Pos, p.Pos) {
 		e.push(p)
 		return nil
 	}
@@ -88,8 +94,11 @@ func (e *StayPointExtractor) flushGroup() {
 	e.centroid.Reset()
 }
 
-// Flush signals end of stream.
+// Flush signals end of stream. It also adds the fixes fed since the
+// last Flush to Params.Obs.Points, which Feed updates only once per
+// batch of fixes.
 func (e *StayPointExtractor) Flush() {
 	e.flushGroup()
 	e.any = false
+	e.points.Flush()
 }
